@@ -8,8 +8,11 @@ prefix recursions.  All representations are canonical, so structural
 equality is mathematical equality.
 
 Layers:
-  Poly   dense tuple of Fractions in x, no trailing zeros.
-  RatX   reduced fraction of Polys with monic denominator.
+  Poly   dense tuple of rational coefficients in x, no trailing zeros.
+  RatX   num/den pair of integer coefficient tuples, coprime over Q[x],
+         with joint integer content 1 and a positive leading
+         coefficient of den.  Arithmetic stays in Z[x]; gcds come from
+         the primitive polynomial remainder sequence (Collins 1967).
   KElem  a + b*C with RatX components.
   YRat   reduced fraction of KElem-coefficient polynomials in y,
          denominator monic in y.
@@ -17,7 +20,10 @@ Layers:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from functools import reduce
+from itertools import chain
+from math import comb, gcd, lcm
+from operator import attrgetter
 
 Poly = tuple[Fraction, ...]
 
@@ -39,116 +45,147 @@ def poly(coeffs) -> Poly:
 
 
 P_ZERO: Poly = ()
-P_ONE: Poly = poly([1])
-P_X: Poly = poly([0, 1])
+P_ONE: Poly = (1,)
+P_X: Poly = (0, 1)
 
 
-def px_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n)])
+def _trim(v) -> list:
+    """Coefficient list of a scalar or sequence, without trailing zeros."""
+    out = list(v) if isinstance(v, (tuple, list)) else [v]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def px_add(p: Poly, q: Poly) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
 
 
 def px_neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
 
 
-def px_sub(p: Poly, q: Poly) -> Poly:
-    return px_add(p, px_neg(q))
-
-
-def px_mul(p: Poly, q: Poly) -> Poly:
+def px_mul(p: Poly, q: Poly) -> list:
     if not p or not q:
-        return P_ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+        return []
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return poly(out)
-
-
-def px_scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return P_ZERO
-    return tuple(a * c for a in p)
-
-
-def px_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    for i in range(len(rem) - len(q), -1, -1):
-        c = rem[i + len(q) - 1] / lead
-        if c == 0:
-            continue
-        quo[i] = c
-        for j, b in enumerate(q):
-            rem[i + j] -= c * b
-    return poly(quo), poly(rem)
-
-
-def px_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    while q:
-        p, q = q, px_divmod(p, q)[1]
-    if not p:
-        return P_ZERO
-    return px_scale(p, 1 / p[-1])
-
-
-def px_eval(p: Poly, v: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * v + c
     return out
 
 
-def px_integerize(p: Poly) -> tuple[Poly, Fraction]:
-    """Scale to primitive integer coefficients; returns (poly, factor)."""
-    if not p:
-        return p, Fraction(1)
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    scaled = [c * den for c in p]
-    num = 0
-    for c in scaled:
-        num = gcd(num, int(c))
-    factor = Fraction(den, num)
-    return tuple(c / num for c in scaled), factor
+def _primitive(*ps) -> list[list[int]]:
+    """ps scaled by one positive rational to integer coefficients with
+    joint content 1; zero polynomials stay zero."""
+    # reduce, not gcd(*iterator): unpacking an iterator of unknown
+    # length resizes the argument tuple and fills the tuple free lists
+    d = reduce(lcm, map(attrgetter("denominator"), chain(*ps)), 1)
+    ps = [[int(c * d) for c in p] if d > 1 else list(map(int, p))
+          for p in ps]
+    g = reduce(gcd, chain(*ps), 0)
+    if g > 1:
+        ps = [[c // g for c in p] for p in ps]
+    return ps
+
+
+def _prem(p: list, q: list) -> list:
+    """Remainder of p by q in Z[x], up to a nonzero integer factor."""
+    r = list(p)
+    n = len(q) - 1
+    lead = q[-1]
+    while len(r) > n:
+        c = r.pop()
+        if c:
+            g = gcd(lead, c)
+            b, c = lead // g, c // g
+            if b != 1:
+                r = [b * v for v in r]
+            s = len(r) - n
+            for j in range(n):
+                r[s + j] -= c * q[j]
+    return _trim(r)
+
+
+def _zdiv(p: list, q: list) -> list:
+    """Quotient p/q in Z[x] of a division known to be exact."""
+    r = list(p)
+    n = len(q) - 1
+    lead = q[-1]
+    out = []
+    while len(r) > n:
+        c = r.pop() // lead
+        out.append(c)
+        if c:
+            s = len(r) - n
+            for j in range(n):
+                r[s + j] -= c * q[j]
+    out.reverse()
+    return out
+
+
+def _zgcd(p: list, q: list) -> list:
+    """Primitive gcd of integer polynomials by the primitive remainder
+    sequence; zero only when both are zero."""
+    if len(p) < len(q):
+        p, q = q, p
+    q = _primitive(q)[0]
+    while len(q) > 1:
+        p, q = q, _primitive(_prem(p, q))[0]
+    return [1] if q else _primitive(p)[0]
+
+
+def _cancel(*ps) -> list[list[int]]:
+    """Integer polynomials proportional to ps with no common factor of
+    positive degree and joint content 1.
+
+    Dividing by a primitive gcd keeps integer coefficients and the
+    joint content (Gauss's lemma).
+    """
+    ps = _primitive(*ps)
+    g = reduce(_zgcd, ps)
+    if len(g) > 1:
+        ps = [_zdiv(p, g) for p in ps]
+    return ps
+
+
+def px_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor over Q."""
+    g = _zgcd(*_primitive(p, q))
+    return tuple(Fraction(c, g[-1]) for c in g)
 
 
 @dataclass(frozen=True)
 class RatX:
-    """Reduced rational function of x with monic denominator."""
+    """Rational function of x in the canonical integer form above."""
 
     num: Poly
     den: Poly
 
     @staticmethod
     def make(num, den=P_ONE) -> "RatX":
-        if not isinstance(num, tuple):
-            num = poly([num]) if not isinstance(num, (list,)) else poly(num)
-        if not isinstance(den, tuple):
-            den = poly([den]) if not isinstance(den, (list,)) else poly(den)
+        """num/den from scalars or coefficient sequences of ints and
+        Fractions."""
+        num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             return RatX(P_ZERO, P_ONE)
-        g = px_gcd(num, den)
-        if len(g) > 1:
-            num = px_divmod(num, g)[0]
-            den = px_divmod(den, g)[0]
-        lc = den[-1]
-        if lc != 1:
-            num = px_scale(num, 1 / lc)
-            den = px_scale(den, 1 / lc)
-        return RatX(num, den)
+        num, den = _cancel(num, den)
+        if den[-1] < 0:
+            num, den = [-c for c in num], [-c for c in den]
+        return RatX(tuple(num), tuple(den))
 
     def __add__(self, o: "RatX") -> "RatX":
+        if not o.num:
+            return self
+        if not self.num:
+            return o
         return RatX.make(px_add(px_mul(self.num, o.den),
                                 px_mul(o.num, self.den)),
                          px_mul(self.den, o.den))
@@ -160,6 +197,8 @@ class RatX:
         return self + (-o)
 
     def __mul__(self, o: "RatX") -> "RatX":
+        if not o.num or not self.num:
+            return R_ZERO
         return RatX.make(px_mul(self.num, o.num), px_mul(self.den, o.den))
 
     def __truediv__(self, o: "RatX") -> "RatX":
@@ -179,9 +218,7 @@ R_XX = R_X * R_X
 
 def ratx(num, den=1) -> RatX:
     """Rational function from ints, Fractions or coefficient lists."""
-    to_poly = lambda v: v if isinstance(v, tuple) else (
-        poly(v) if isinstance(v, list) else poly([v]))
-    return RatX.make(to_poly(num), to_poly(den))
+    return RatX.make(num, den)
 
 
 @dataclass(frozen=True)
@@ -406,7 +443,7 @@ def _series_divide(num: list[Fraction], den: Poly,
         acc = num[n]
         for j in range(1, min(n, len(den) - 1) + 1):
             acc -= den[j] * out[n - j]
-        out.append(acc / d0)
+        out.append(Fraction(acc, d0))
     return out
 
 
@@ -456,28 +493,10 @@ def minimal_polynomial(u: KElem) -> tuple[Poly, Poly, Poly]:
         c2 = px_mul(c2r.num, px_mul(c1r.den, c0r.den))
         c1 = px_mul(c1r.num, px_mul(c2r.den, c0r.den))
         c0 = px_mul(c0r.num, px_mul(c2r.den, c1r.den))
-        g = px_gcd(px_gcd(c2, c1), c0)
-        if len(g) > 1:
-            c2 = px_divmod(c2, g)[0]
-            c1 = px_divmod(c1, g)[0]
-            c0 = px_divmod(c0, g)[0]
-    return _primitive_triple(c2, c1, c0)
-
-
-def _primitive_triple(c2: Poly, c1: Poly, c0: Poly):
-    den = 1
-    for p in (c2, c1, c0):
-        for c in p:
-            den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for p in (c2, c1, c0):
-        for c in p:
-            num = gcd(num, int(c * den))
-    scale = Fraction(den, num)
-    lead = c2 if c2 else c1
-    if lead and lead[-1] * scale < 0:
-        scale = -scale
-    return tuple(px_scale(p, scale) for p in (c2, c1, c0))
+    c2, c1, c0 = _cancel(c2, c1, c0)
+    lead = c2 or c1
+    sign = -1 if lead and lead[-1] < 0 else 1
+    return tuple(tuple(sign * c for c in p) for p in (c2, c1, c0))
 
 
 def to_sqrt_form(u: KElem) -> tuple[Poly, Poly, Poly]:
@@ -488,30 +507,14 @@ def to_sqrt_form(u: KElem) -> tuple[Poly, Poly, Poly]:
     """
     if u.is_zero():
         return (P_ZERO, P_ZERO, P_ONE)
-    half = RatX.make(poly([Fraction(1)]), poly([0, 0, 2]))
+    half = RatX.make(1, [0, 0, 2])
     big_a = u.a + u.b * half
     big_b = -(u.b * half)
-    den = px_mul(big_a.den, big_b.den)
-    n1 = px_mul(big_a.num, big_b.den)
-    n2 = px_mul(big_b.num, big_a.den)
-    g = px_gcd(px_gcd(n1, n2), den)
-    if len(g) > 1:
-        n1 = px_divmod(n1, g)[0]
-        n2 = px_divmod(n2, g)[0]
-        den = px_divmod(den, g)[0]
-    den_i = 1
-    for p in (n1, n2, den):
-        for c in p:
-            den_i = den_i * c.denominator // gcd(den_i, c.denominator)
-    num_i = 0
-    for p in (n1, n2, den):
-        for c in p:
-            num_i = gcd(num_i, int(c * den_i))
-    scale = Fraction(den_i, num_i)
-    low = next(c for c in den if c != 0)
-    if low * scale < 0:
-        scale = -scale
-    return (px_scale(n1, scale), px_scale(n2, scale), px_scale(den, scale))
+    n1, n2, den = _cancel(px_mul(big_a.num, big_b.den),
+                          px_mul(big_b.num, big_a.den),
+                          px_mul(big_a.den, big_b.den))
+    sign = 1 if next(c for c in den if c) > 0 else -1
+    return tuple(tuple(sign * c for c in p) for p in (n1, n2, den))
 
 
 def from_sqrt_form(n1: Poly, n2: Poly, den: Poly) -> KElem:
@@ -550,22 +553,9 @@ def poly_str(p: Poly, var: str = "x") -> str:
 
 
 def ratx_str(r: RatX) -> str:
-    if r.is_zero():
-        return "0"
-    lcm = 1
-    for p in (r.num, r.den):
-        for c in p:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ni = [int(c * lcm) for c in r.num]
-    di = [int(c * lcm) for c in r.den]
-    content = 0
-    for c in ni + di:
-        content = gcd(content, c)
-    ni = poly([Fraction(c, content) for c in ni])
-    di = poly([Fraction(c, content) for c in di])
-    if di == P_ONE:
-        return poly_str(ni)
-    return f"({poly_str(ni)})/({poly_str(di)})"
+    if r.den == P_ONE:
+        return poly_str(r.num)
+    return f"({poly_str(r.num)})/({poly_str(r.den)})"
 
 
 def k_str(u: KElem) -> str:

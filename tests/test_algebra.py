@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin.algebra import (
     K_C,
@@ -51,6 +53,7 @@ def test_px_gcd_is_monic():
     assert px_gcd((), b) == poly([-1, 1])
     g = px_gcd(poly([2, 2]), poly([4, 4]))
     assert g == poly([1, 1])
+    assert px_gcd(poly([1, 2]), poly([3, 6])) == poly([Fraction(1, 2), 1])
 
 
 def test_ratx_cancellation():
@@ -60,6 +63,39 @@ def test_ratx_cancellation():
         ratx(1, 0)
     with pytest.raises(ZeroDivisionError):
         ratx(1) / ratx(0)
+
+
+def _euclid_gcd_degree(p, q):
+    """Degree of gcd(p, q) by Euclid's algorithm over Q (reference)."""
+    p, q = list(poly(p)), list(poly(q))
+    while q:
+        while len(p) >= len(q):
+            c = p[-1] / q[-1]
+            for j in range(len(q)):
+                p[len(p) - len(q) + j] -= c * q[j]
+            while p and p[-1] == 0:
+                p.pop()
+        p, q = q, p
+    return len(p) - 1
+
+
+_coeffs = st.lists(st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6)), max_size=5)
+_nonzero = _coeffs.filter(any)
+
+
+@given(_coeffs, _nonzero, _nonzero,
+       st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+def test_ratx_make_is_canonical(num, den, common, scale):
+    r = RatX.make(num, den)
+    assert all(type(c) is int for c in r.num + r.den)
+    assert _euclid_gcd_degree(r.num, r.den) == 0
+    assert gcd(*r.num, *r.den) == 1
+    assert r.den[-1] > 0
+    assert px_mul(poly(num), r.den) == px_mul(poly(den), r.num)
+    assert RatX.make([c * scale for c in num], [c * scale for c in den]) == r
+    assert RatX.make(px_mul(poly(num), common), px_mul(poly(den), common)) == r
 
 
 def test_defining_relation():
@@ -168,6 +204,9 @@ def test_series_of_c():
 
 def test_series_of_rational():
     assert series(k_of(ratx(1, [1, -1])), 4) == [1, 1, 1, 1, 1]
+    got = series(k_of(ratx(1, [2, -1])), 6)
+    assert got == [Fraction(1, 2 ** (n + 1)) for n in range(7)]
+    assert not any(isinstance(c, float) for c in got)
 
 
 def test_series_pole_detection():
