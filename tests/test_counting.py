@@ -102,3 +102,19 @@ def test_sample_covers_every_path():
     paths = set(c.generate_all(n))
     seen = {c.sample(n, seed=s) for s in range(600)}
     assert seen == paths
+
+
+def test_sample_stream_is_pinned():
+    # the sample stream for a seed is part of the contract across versions
+    c = counter(avoid=("HH",))
+    assert [c.sample(12, seed=s) for s in range(4)] == [
+        "UDUUUDUDDDUD", "UUUDDDUUDUDD", "UDUUDDUUDDUD", "UUUUUUDDDDDD"]
+    c = counter(avoid=("UUU",), contain=(("HD",),))
+    assert [c.sample(10, seed=s) for s in range(4)] == [
+        "UHHDHHUHDH", "HHHHUUHHDD", "UHHHUDDHHH", "HUHHDUHHDH"]
+
+
+def test_generate_all_order_is_pinned():
+    assert counter(avoid=("UHD",)).generate_all(5) == [
+        "HHHHH", "HHHUD", "HHUDH", "HUDHH", "HUDUD", "HUUDD", "UDHHH",
+        "UDUDH", "UUDDH"]
