@@ -12,14 +12,13 @@ never collide.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .paths import (
     CrossingPattern,
     contains,
     contains_crossing,
     strip,
-    word_key,
 )
 
 
@@ -29,21 +28,21 @@ class Mode(enum.Enum):
     USTART = "ustart"
 
 
-class _EmptyMarker:
-    """Distinguished normalization result: the class is empty."""
+class Marker(enum.Enum):
+    """Rule-system objects that are not descriptors: the empty class
+    (a normalization result) and the class of the empty path alone."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    EMPTY = "empty"
+    EPSILON = "epsilon"
 
     def __repr__(self) -> str:
-        return "EMPTY"
+        return self.name
+
+    __str__ = __repr__
 
 
-EMPTY = _EmptyMarker()
+EMPTY = Marker.EMPTY
+EPSILON = Marker.EPSILON
 
 
 def plain(word: str) -> CrossingPattern:
@@ -88,9 +87,6 @@ class ClassDescriptor:
     def __post_init__(self):
         if self.crossing and self.mode is not Mode.USTART:
             raise ValueError("crossing form only exists for U-start classes")
-
-    def is_plain(self) -> bool:
-        return not self.crossing
 
 
 def full_class(avoid=(), contain=()) -> ClassDescriptor:

@@ -121,17 +121,11 @@ def _class_note(obj) -> str:
 
 
 def _rule_text(cid: str, rule) -> str:
-    if rule.kind == "epsilon":
-        return f"{cid} = 1"
-    if rule.kind == "empty":
-        return f"{cid} = 0"
-    if rule.kind == "union":
-        rhs = " + ".join(rule.children) if rule.children else "0"
-        return f"{cid} = {rhs}"
-    if rule.atom == "H":
-        return f"{cid} = x * {rule.children[0]}"
-    a, b = rule.children
-    return f"{cid} = x^2 * {a} * {b}"
+    terms = []
+    for atom, factors in rule.terms:
+        x = ["x" if len(atom) == 1 else f"x^{len(atom)}"] if atom else []
+        terms.append(" * ".join(x + list(factors)) or "1")
+    return f"{cid} = {' + '.join(terms) or '0'}"
 
 
 def cmd_spec(args) -> int:

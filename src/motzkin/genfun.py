@@ -15,7 +15,8 @@ solves every strongly connected component that is affine over K.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .algebra import (
     K_C,
@@ -40,6 +41,7 @@ K_ONE_MINUS_X = k_of(ratx([1, -1]))
 K_INV_ONE_MINUS_X = k_of(ratx(1, [1, -1]))
 K_X_OVER_ONE_MINUS_X = k_of(ratx([0, 1], [1, -1]))
 K_XC = K_X * K_C
+_X_POWERS = (K_ONE, K_X, K_XX)
 
 DYCK_ID = class_id(normalize(full_class(avoid=("H",))))
 
@@ -108,20 +110,10 @@ def extract_equations(spec: Specification) -> dict:
     Each equation is lhs = sum of terms x^coef_x_power * prod(factors);
     a term with no factors is the constant x^coef_x_power.
     """
-    eqs = []
-    for cid, rule in spec.rules.items():
-        if rule.kind == "epsilon":
-            terms = [{"coef_x_power": 0, "factors": []}]
-        elif rule.kind == "empty":
-            terms = []
-        elif rule.kind == "union":
-            terms = [{"coef_x_power": 0, "factors": [c]}
-                     for c in rule.children]
-        elif rule.atom == "H":
-            terms = [{"coef_x_power": 1, "factors": [rule.children[0]]}]
-        else:
-            terms = [{"coef_x_power": 2, "factors": list(rule.children)}]
-        eqs.append({"lhs": cid, "terms": terms})
+    eqs = [{"lhs": cid,
+            "terms": [{"coef_x_power": len(atom), "factors": list(factors)}
+                      for atom, factors in rule.terms]}
+           for cid, rule in spec.rules.items()]
     return {"vars": list(spec.rules), "eqs": eqs}
 
 
@@ -188,12 +180,10 @@ def solve_closed_form(spec: Specification):
     components in dependency order, solving each affine system by
     Gaussian elimination over K.
     """
-    values: dict[str, KElem] = {}
-    for cid, rule in spec.rules.items():
-        if rule.kind == "epsilon":
-            values[cid] = K_ONE
-        elif rule.kind == "empty":
-            values[cid] = K_ZERO
+    # a rule without factors is a constant: 1 for epsilon, 0 for empty
+    values = {cid: sum((_X_POWERS[len(atom)] for atom, _ in rule.terms),
+                       K_ZERO)
+              for cid, rule in spec.rules.items() if not rule.children}
     if DYCK_ID in spec.rules:
         values[DYCK_ID] = K_C
 
@@ -220,32 +210,19 @@ def _solve_component(spec: Specification, comp: list[str],
     for cid in comp:
         i = pos[cid]
         rows[i][i] = K_ONE
-        rule = spec.rules[cid]
-        if rule.kind == "union":
-            for c in rule.children:
-                if c in values:
-                    rows[i][m] = rows[i][m] + values[c]
-                else:
-                    rows[i][pos[c]] = rows[i][pos[c]] - K_ONE
-        elif rule.atom == "H":
-            c = rule.children[0]
-            if c in values:
-                rows[i][m] = rows[i][m] + K_X * values[c]
-            else:
-                rows[i][pos[c]] = rows[i][pos[c]] - K_X
-        elif rule.kind == "product":
-            a, b = rule.children
-            if a in values and b in values:
-                rows[i][m] = rows[i][m] + K_XX * values[a] * values[b]
-            elif a in values:
-                coef = K_XX * values[a]
-                rows[i][pos[b]] = rows[i][pos[b]] - coef
-            elif b in values:
-                coef = K_XX * values[b]
-                rows[i][pos[a]] = rows[i][pos[a]] - coef
+        for atom, factors in spec.rules[cid].terms:
+            # x^len(atom) times the known factors, times the unknown ones
+            known = [_X_POWERS[len(atom)]] if atom else []
+            known += [values[f] for f in factors if f in values]
+            coef = reduce(mul, known) if known else K_ONE
+            unknown = [f for f in factors if f not in values]
+            if not unknown:
+                rows[i][m] += coef
+            elif len(unknown) == 1:
+                rows[i][pos[unknown[0]]] -= coef
             else:
                 return (f"class {cid} multiplies two unsolved classes"
-                        f" {a} and {b}")
+                        f" {unknown[0]} and {unknown[1]}")
     # Gaussian elimination over K
     for col in range(m):
         pivot = next((r for r in range(col, m)

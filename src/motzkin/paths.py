@@ -5,6 +5,7 @@ Words are plain strings.  The step order U < H < D is fixed globally and
 governs every lexicographic enumeration and canonical sort in the package.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -136,7 +137,9 @@ def _check_cap(n: int, max_length: int | None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _paths(n: int) -> tuple[str, ...]:
+def _walks(n: int, closed: bool) -> tuple[str, ...]:
+    """Motzkin prefixes of length n, or paths when closed, in
+    lexicographic step order."""
     out: list[str] = []
 
     def rec(prefix: list[str], h: int, remaining: int) -> None:
@@ -145,27 +148,8 @@ def _paths(n: int) -> tuple[str, ...]:
             return
         for ch in STEPS:
             nh = h + STEP_HEIGHT[ch]
-            # prune: must be able to return to 0
-            if 0 <= nh <= remaining - 1:
-                prefix.append(ch)
-                rec(prefix, nh, remaining - 1)
-                prefix.pop()
-
-    rec([], 0, n)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _prefixes(n: int) -> tuple[str, ...]:
-    out: list[str] = []
-
-    def rec(prefix: list[str], h: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append("".join(prefix))
-            return
-        for ch in STEPS:
-            nh = h + STEP_HEIGHT[ch]
-            if nh >= 0:
+            # prune: a closed walk must be able to return to 0
+            if 0 <= nh and (not closed or nh <= remaining - 1):
                 prefix.append(ch)
                 rec(prefix, nh, remaining - 1)
                 prefix.pop()
@@ -177,13 +161,13 @@ def _prefixes(n: int) -> tuple[str, ...]:
 def enumerate_motzkin(n: int, max_length: int | None = None) -> list[str]:
     """All Motzkin paths of length n, in lexicographic step order."""
     _check_cap(n, max_length)
-    return list(_paths(n))
+    return list(_walks(n, True))
 
 
 def enumerate_motzkin_prefixes(n: int, max_length: int | None = None) -> list[str]:
     """All Motzkin prefixes of length n, in lexicographic step order."""
     _check_cap(n, max_length)
-    return list(_prefixes(n))
+    return list(_walks(n, False))
 
 
 def oracle_count(n: int, avoid=(), contain_clauses=(), max_length: int | None = None) -> int:
@@ -196,7 +180,7 @@ def oracle_count(n: int, avoid=(), contain_clauses=(), max_length: int | None = 
     avoid = tuple(avoid)
     clauses = tuple(tuple(c) for c in contain_clauses)
     total = 0
-    for p in _paths(n):
+    for p in _walks(n, True):
         if any(contains(p, q) for q in avoid):
             continue
         if all(any(contains(p, q) for q in clause) for clause in clauses):
@@ -210,10 +194,11 @@ def oracle_minco(q: str, n: int, h: int, max_length: int | None = None) -> int:
     _check_cap(n, max_length)
     if q == "":
         return 1 if (n, h) == (0, 0) else 0
-    total = 0
-    for p in _prefixes(n):
-        if height_profile(p)[0] != h:
-            continue
-        if contains(p, q) and not contains(p[:-1], q):
-            total += 1
-    return total
+    return _minco_heights(q, n)[h]
+
+
+@lru_cache(maxsize=None)
+def _minco_heights(q: str, n: int) -> Counter:
+    """Final heights of the smallest containers of q of length n."""
+    return Counter(height_profile(p)[0] for p in _walks(n, False)
+                   if contains(p, q) and not contains(p[:-1], q))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .classes import (
     EMPTY,
+    EPSILON,
     ClassDescriptor,
     Mode,
     class_id,
@@ -39,21 +40,6 @@ EMPTY_ID = "Empty"
 
 MAX_LOCALIZE_STEPS = 10000
 MAX_CLASSES = 10000
-
-
-class _EpsilonMarker:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EPSILON"
-
-
-EPSILON = _EpsilonMarker()
 
 
 class StrategyError(Exception):
@@ -78,17 +64,22 @@ class Rule:
     children: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "product":
-            if self.atom == "H" and len(self.children) == 1:
-                return
-            if self.atom == "UD" and len(self.children) == 2:
-                return
-            raise ValueError("malformed product rule")
-        if self.kind in ("epsilon", "empty") and not self.children:
-            return
+        shape = (self.kind, self.atom, len(self.children))
+        if self.kind != "union" and shape not in {
+                ("product", "H", 1), ("product", "UD", 2),
+                ("epsilon", None, 0), ("empty", None, 0)}:
+            raise ValueError(f"malformed {self.kind} rule")
+
+    @property
+    def terms(self) -> list[tuple[str, tuple[str, ...]]]:
+        """The rule as a sum of terms (atom, factors).  A term's paths
+        interleave the atom's letters with paths of its factors (U a D b,
+        H a, a, or the empty path); len(atom) is its power of x."""
         if self.kind == "union":
-            return
-        raise ValueError(f"malformed rule: {self.kind}")
+            return [("", (c,)) for c in self.children]
+        if self.kind == "product":
+            return [(self.atom, self.children)]
+        return [("", ())] if self.kind == "epsilon" else []
 
 
 @dataclass
@@ -96,9 +87,6 @@ class Specification:
     root: str
     rules: dict[str, Rule]
     descriptors: dict[str, object]
-
-    def class_ids(self) -> list[str]:
-        return list(self.rules)
 
 
 def root_split(d: ClassDescriptor) -> list:

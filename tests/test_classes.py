@@ -1,9 +1,13 @@
 """Class descriptors, canonical normalization and membership."""
 
+import copy
+import pickle
+
 import pytest
 
 from motzkin.classes import (
     EMPTY,
+    EPSILON,
     ClassDescriptor,
     Mode,
     class_id,
@@ -53,6 +57,14 @@ def test_normalize_empty_when_avoiding_trivial():
     assert normalize(full_class(avoid=("",))) is EMPTY
     assert normalize(ustart(avoid=("UD-",))) is EMPTY
     assert normalize(ustart(avoid=("-HH", "U-"))) is EMPTY
+
+
+def test_markers_are_singletons():
+    for marker, name in ((EMPTY, "EMPTY"), (EPSILON, "EPSILON")):
+        assert repr(marker) == name
+        assert copy.deepcopy(marker) is marker
+        assert pickle.loads(pickle.dumps(marker)) is marker
+    assert EMPTY is not EPSILON
 
 
 def test_normalize_drops_implied_avoids():

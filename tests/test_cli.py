@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from motzkin import cli
+from motzkin.classes import full_class, matches, normalize
 from motzkin.paths import enumerate_motzkin, contains
 
 
@@ -207,6 +208,15 @@ def test_sample_deterministic(capsys):
     for w in out1.split():
         assert not contains(w, "HH")
         assert len(w) == 8
+
+
+def test_sample_long_path(capsys):
+    code, out, _ = run_cli(
+        ["sample", "-n", "1200", "--avoid", "HH", "--seed", "1"], capsys)
+    assert code == 0
+    paths = out.split()
+    assert len(paths) == 1 and len(paths[0]) == 1200
+    assert matches(normalize(full_class(avoid=("HH",))), paths[0])
 
 
 def test_sample_empty_class(capsys):

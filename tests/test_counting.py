@@ -13,7 +13,7 @@ from motzkin.paths import (
     oracle_count,
     word_key,
 )
-from motzkin.strategies import build_specification
+from motzkin.strategies import Rule, Specification, build_specification
 
 
 def counter(avoid=(), contain=()):
@@ -118,3 +118,18 @@ def test_generate_all_order_is_pinned():
     assert counter(avoid=("UHD",)).generate_all(5) == [
         "HHHHH", "HHHUD", "HHUDH", "HUDHH", "HUDUD", "HUUDD", "UDHHH",
         "UDUDH", "UUDDH"]
+
+
+def test_long_lengths_need_no_recursion():
+    c = counter(avoid=("U",))
+    assert c.count(3000) == 1
+    assert c.generate_all(3000) == ["H" * 3000]
+    c = counter(avoid=("U",))
+    assert c.sample(3000, seed=0) == "H" * 3000
+
+
+def test_same_length_cycle_is_rejected():
+    rules = {"A": Rule("union", children=("B",)),
+             "B": Rule("union", children=("A",))}
+    with pytest.raises(ValueError):
+        SpecCounter(Specification("A", rules, {}))

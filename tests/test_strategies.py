@@ -51,6 +51,12 @@ def test_rule_validation():
         Rule("banana")
     Rule("union", children=("A",))
     Rule("epsilon")
+    assert Rule("epsilon").terms == [("", ())]
+    assert Rule("empty").terms == []
+    assert Rule("union", children=("A", "B")).terms == [
+        ("", ("A",)), ("", ("B",))]
+    assert Rule("product", "H", ("A",)).terms == [("H", ("A",))]
+    assert Rule("product", "UD", ("A", "B")).terms == [("UD", ("A", "B"))]
 
 
 def test_root_split_unrestricted():
