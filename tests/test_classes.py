@@ -4,6 +4,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin.classes import (
     EMPTY,
@@ -20,6 +21,8 @@ from motzkin.classes import (
     trivially_contained,
 )
 from motzkin.paths import CrossingPattern, enumerate_motzkin, split_pattern
+
+PATHS_UP_TO_7 = [p for n in range(8) for p in enumerate_motzkin(n)]
 
 
 def cp(text: str) -> CrossingPattern:
@@ -110,6 +113,57 @@ def test_normalize_is_order_insensitive():
 def test_normalize_reaches_fixpoint():
     d = normalize(ustart(avoid=("-HH", "H-H", "HH-")))
     assert normalize(d) == d
+
+
+@st.composite
+def _pattern(draw, crossing: bool) -> CrossingPattern:
+    w = draw(st.text("UHD", min_size=1, max_size=4))
+    cut = draw(st.integers(0, len(w))) if crossing else 0
+    return CrossingPattern(w[:cut], w[cut:])
+
+
+@st.composite
+def _descriptors(draw):
+    """Raw descriptors in every mode, crossing ones in U-start mode, from
+    nonempty words of length <= 4 (a crossing pattern is a cut of one)."""
+    mode, crossing = draw(st.sampled_from([
+        (Mode.FULL, False), (Mode.HSTART, False),
+        (Mode.USTART, False), (Mode.USTART, True)]))
+    pattern = _pattern(crossing)
+    avoid = draw(st.lists(pattern, max_size=3))
+    contain = draw(st.lists(st.lists(pattern, min_size=1, max_size=3),
+                            max_size=3))
+    return ClassDescriptor(mode, tuple(avoid),
+                           tuple(tuple(c) for c in contain), crossing)
+
+
+def _antichain(patterns) -> bool:
+    return not any(a != b and crossing_implies(a, b)
+                   for a in patterns for b in patterns)
+
+
+@given(_descriptors(), st.randoms(use_true_random=False))
+def test_normalize_keeps_meaning_and_is_canonical(d, rnd):
+    r = normalize(d)
+    for p in PATHS_UP_TO_7:
+        assert matches(d, p) == (r is not EMPTY and matches(r, p)), p
+
+    def shuffled(items):
+        items = list(items)
+        items += rnd.sample(items, rnd.randint(0, len(items)))
+        rnd.shuffle(items)
+        return tuple(items)
+
+    # permuting and repeating avoids, members and clauses changes nothing
+    e = ClassDescriptor(d.mode, shuffled(d.avoid),
+                        shuffled(shuffled(c) for c in d.contain), d.crossing)
+    s = normalize(e)
+    assert (r is EMPTY) == (s is EMPTY)
+    if r is not EMPTY:
+        assert class_id(r) == class_id(s)
+        assert normalize(r) == r
+        assert _antichain(r.avoid)
+        assert all(_antichain(clause) for clause in r.contain)
 
 
 def test_epsilon_member():

@@ -1,8 +1,11 @@
 """Core path predicates, enumeration and the brute-force oracle."""
 
+from itertools import product
+
 import pytest
 
 from motzkin.paths import (
+    STEP_RANK,
     CrossingPattern,
     NotUStartError,
     check_word,
@@ -72,6 +75,10 @@ def test_enumeration_is_sorted_and_deduplicated():
         assert len(set(ps)) == len(ps)
         assert ps == sorted(ps, key=word_key)
         assert all(is_motzkin_path(p) and len(p) == n for p in ps)
+    # word_key is shortlex with U < H < D on every word of length <= 4
+    ws = ["".join(t) for n in range(4, -1, -1) for t in product("DHU", repeat=n)]
+    assert sorted(ws, key=word_key) == sorted(
+        ws, key=lambda w: (len(w), [STEP_RANK[c] for c in w]))
 
 
 def test_prefix_enumeration():
