@@ -64,8 +64,8 @@ def crossing_implies(a: CrossingPattern, b: CrossingPattern) -> bool:
     return contains(b.left, a.left) and contains(b.right, a.right)
 
 
-def trivially_contained(cp: CrossingPattern, mode: Mode = Mode.USTART,
-                        crossing: bool = True) -> bool:
+def trivially_contained(cp: CrossingPattern, mode: Mode,
+                        crossing: bool) -> bool:
     """True iff every path of the descriptor's kind contains cp.
 
     In the crossing interpretation every U-start path UxDy contains l-
@@ -96,78 +96,58 @@ def full_class(avoid=(), contain=()) -> ClassDescriptor:
     return ClassDescriptor(Mode.FULL, av, co)
 
 
-def _sorted_clause(members) -> tuple[CrossingPattern, ...]:
-    return tuple(sorted(set(members), key=pattern_key))
+def _minimal(items) -> list[CrossingPattern]:
+    """The items no other item implies (repeats kept once).
+
+    An item is implied only by strictly shorter ones, and implication is
+    transitive, so scanning by total length and checking each item
+    against the kept ones alone is enough.
+    """
+    kept: list[CrossingPattern] = []
+    for b in sorted(items, key=lambda cp: len(cp.left) + len(cp.right)):
+        if not any(crossing_implies(a, b) for a in kept):
+            kept.append(b)
+    return kept
 
 
 def normalize(d: ClassDescriptor):
     """Canonical minimal form of a descriptor, or EMPTY.
 
-    Iterates to a fixpoint: trivially-contained avoids empty the class;
-    implied avoid patterns, implied clause members, satisfied clauses,
-    uncontainable members and subsumed clauses are dropped; everything
-    is sorted canonically.
+    One pass over minimal elements: a trivially contained avoid empties
+    the class; implied avoids are dropped; a clause with a trivially
+    contained member is satisfied and dropped; members implied by an
+    avoid cannot occur (a clause left with none empties the class), and
+    members implying another member are dropped; clauses forced by
+    another clause are dropped; everything is sorted canonically.
+    crossing_implies is a partial order, and so is forcing between
+    reduced clauses, so each step has one result and a second pass
+    would change nothing.
     """
     triv = lambda cp: trivially_contained(cp, d.mode, d.crossing)
-    avoid = set(d.avoid)
-    clauses = [set(c) for c in d.contain]
+    if any(map(triv, d.avoid)):
+        return EMPTY
+    avoid = _minimal(d.avoid)
 
-    while True:
-        if any(triv(cp) for cp in avoid):
+    clauses: set[frozenset[CrossingPattern]] = set()
+    for clause in d.contain:
+        if any(map(triv, clause)):
+            continue
+        live = [q for q in clause
+                if not any(crossing_implies(a, q) for a in avoid)]
+        if not live:
             return EMPTY
+        clauses.add(frozenset(_minimal(live)))
 
-        changed = False
-
-        # implied avoid patterns are redundant
-        for b in sorted(avoid, key=pattern_key, reverse=True):
-            if any(a != b and crossing_implies(a, b) for a in avoid):
-                avoid.discard(b)
-                changed = True
-
-        kept: list[set[CrossingPattern]] = []
-        for clause in clauses:
-            # a trivially contained member satisfies the whole clause
-            if any(triv(cp) for cp in clause):
-                changed = True
-                continue
-            # members implied by an avoided pattern cannot occur
-            dead = {q for q in clause
-                    if any(crossing_implies(a, q) for a in avoid)}
-            if dead:
-                clause = clause - dead
-                changed = True
-            if not clause:
-                return EMPTY
-            # members implying another member are redundant
-            for b in sorted(clause, key=pattern_key, reverse=True):
-                if any(a != b and crossing_implies(a, b) for a in clause):
-                    clause.discard(b)
-                    changed = True
-            kept.append(clause)
-        clauses = kept
-
-        # drop duplicate and subsumed clauses (S' forcing S makes S redundant)
-        frozen = sorted({frozenset(c) for c in clauses},
-                        key=lambda c: clause_key(_sorted_clause(c)))
-        if len(frozen) != len(clauses):
-            changed = True
-        drop = set()
-        for i, s in enumerate(frozen):
-            for j, stronger in enumerate(frozen):
-                if i == j or j in drop:
-                    continue
-                if all(any(crossing_implies(m, mp) for m in s) for mp in stronger):
-                    drop.add(i)
-                    changed = True
-                    break
-        clauses = [set(c) for k, c in enumerate(frozen) if k not in drop]
-
-        if not changed:
-            break
+    # t forces s (s is redundant) when every member of t has a member of
+    # s as a subpattern
+    kept = [s for s in clauses
+            if not any(t != s and all(any(crossing_implies(m, mp) for m in s)
+                                      for mp in t)
+                       for t in clauses)]
 
     norm_avoid = tuple(sorted(avoid, key=pattern_key))
-    norm_contain = tuple(sorted((_sorted_clause(c) for c in clauses),
-                                key=clause_key))
+    norm_contain = tuple(sorted((tuple(sorted(c, key=pattern_key))
+                                 for c in kept), key=clause_key))
     return ClassDescriptor(d.mode, norm_avoid, norm_contain, d.crossing)
 
 

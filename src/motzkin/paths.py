@@ -32,9 +32,12 @@ def check_word(w: str) -> str:
     return w
 
 
+_SHORTLEX = str.maketrans("UHD", "abc")
+
+
 def word_key(w: str):
     """Canonical sort key: shortlex with U < H < D."""
-    return (len(w), tuple(STEP_RANK[c] for c in w))
+    return (len(w), w.translate(_SHORTLEX))
 
 
 def height_profile(w: str) -> tuple[int, int]:

@@ -19,6 +19,7 @@ build_specification closes a root descriptor under these strategies and
 returns the finished rule system.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .classes import (
@@ -268,7 +269,7 @@ def build_specification(root) -> Specification:
     """
     rules: dict[str, Rule] = {}
     descriptors: dict[str, object] = {}
-    queue: list = []
+    queue: deque = deque()
 
     def register(obj) -> str:
         cid = _descriptor_id(obj)
@@ -284,7 +285,7 @@ def build_specification(root) -> Specification:
     root_id = register(root)
 
     while queue:
-        cid, obj = queue.pop(0)
+        cid, obj = queue.popleft()
         if obj is EPSILON:
             rules[cid] = Rule("epsilon")
             continue
