@@ -3,11 +3,17 @@ containment, and the brute-force enumeration oracle.
 
 Words are plain strings.  The step order U < H < D is fixed globally and
 governs every lexicographic enumeration and canonical sort in the package.
+
+The oracle enumerates every path by brute force; its containment test is
+one compiled regex per word set that accepts exactly the strings `contains`
+accepts, so the per-path scan runs in C.
 """
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import filterfalse
 
 STEPS = "UHD"
 STEP_RANK = {"U": 0, "H": 1, "D": 2}
@@ -143,6 +149,8 @@ def _check_cap(n: int, max_length: int | None) -> None:
 def _walks(n: int, closed: bool) -> tuple[str, ...]:
     """Motzkin prefixes of length n, or paths when closed, in
     lexicographic step order."""
+    if n < 0:
+        return ()
     out: list[str] = []
 
     def rec(prefix: list[str], h: int, remaining: int) -> None:
@@ -180,15 +188,26 @@ def oracle_count(n: int, avoid=(), contain_clauses=(), max_length: int | None = 
     Ground truth for every other counting route in the package.
     """
     _check_cap(n, max_length)
-    avoid = tuple(avoid)
-    clauses = tuple(tuple(c) for c in contain_clauses)
-    total = 0
-    for p in _walks(n, True):
-        if any(contains(p, q) for q in avoid):
-            continue
-        if all(any(contains(p, q) for q in clause) for clause in clauses):
-            total += 1
-    return total
+    paths = filterfalse(_subword_regex(avoid).search, _walks(n, True))
+    for clause in contain_clauses:
+        paths = filter(_subword_regex(clause).search, paths)
+    return sum(1 for _ in paths)
+
+
+def _subword_regex(words) -> re.Pattern:
+    """A regex whose search succeeds exactly when the string contains at
+    least one of `words` as a subword, as `contains` decides it.
+
+    The word q1...qk reads q1[^q2]*q2...[^qk]*qk: each gap stops at the first
+    next letter, the greedy scan of `contains` with no backtracking.  The empty
+    word is the empty pattern, which matches every string; no words at all
+    give (?!), which matches none, as any(()) is False.
+    """
+    alternatives = []
+    for q in words:
+        e = [re.escape(ch) for ch in q]
+        alternatives.append("".join(e[:1] + [f"[^{c}]*{c}" for c in e[1:]]))
+    return re.compile("|".join(alternatives) if alternatives else "(?!)")
 
 
 def oracle_minco(q: str, n: int, h: int, max_length: int | None = None) -> int:
@@ -203,5 +222,6 @@ def oracle_minco(q: str, n: int, h: int, max_length: int | None = None) -> int:
 @lru_cache(maxsize=None)
 def _minco_heights(q: str, n: int) -> Counter:
     """Final heights of the smallest containers of q of length n."""
+    search = _subword_regex((q,)).search
     return Counter(height_profile(p)[0] for p in _walks(n, False)
-                   if contains(p, q) and not contains(p[:-1], q))
+                   if search(p) and not search(p, 0, len(p) - 1))

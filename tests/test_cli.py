@@ -1,12 +1,13 @@
 """End-to-end behavior of the command-line interface."""
 
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from motzkin import cli
+from motzkin import cli, paths
 from motzkin.classes import full_class, matches, normalize
 from motzkin.paths import enumerate_motzkin, contains
 
@@ -277,6 +278,26 @@ def test_bad_subcommand_exits_1(capsys):
 def test_negative_length_exits_1(capsys):
     code, _, _ = run_cli(["count", "-N", "-3"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("args, code", [
+    ("genfun --pattern ''", 0),
+    ("count --avoid ''", 0),
+    ("count --contain ''", 0),
+    ("verify --all-up-to 0", 0),
+    ("enumerate -n 30", 1),
+    ("verify --max-len 19 --avoid HH", 1),
+    ("count -N 19 --avoid HH --oracle", 1),
+    ("sample -n 0 --avoid ''", 2),
+    ("genfun --contain H --form sqrt", 4),
+])
+def test_no_input_ends_in_traceback(args, code, monkeypatch, capsys):
+    # a lower oracle cap makes the over-cap runs fail at n = 13 instead of
+    # enumerating ~1 GB of paths up to n = 18 first
+    monkeypatch.setattr(paths, "DEFAULT_MAX_ORACLE_LENGTH", 12)
+    got, _, err = run_cli(shlex.split(args), capsys)
+    assert got == code
+    assert "Traceback" not in err
 
 
 def test_module_entry_point():

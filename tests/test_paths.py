@@ -1,13 +1,16 @@
 """Core path predicates, enumeration and the brute-force oracle."""
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin.paths import (
     STEP_RANK,
     CrossingPattern,
     NotUStartError,
+    _subword_regex,
     check_word,
     contains,
     contains_crossing,
@@ -203,3 +206,56 @@ def test_oracle_minco_column_sums():
                 if contains(p, q) and not contains(p[:-1], q):
                     direct += 1
             assert total == direct
+
+
+def test_negative_lengths_give_no_walks():
+    assert enumerate_motzkin(-1) == []
+    assert enumerate_motzkin_prefixes(-1) == []
+    assert oracle_count(-1) == 0
+    assert oracle_minco("U", -1, 0) == 0
+
+
+def test_subword_regex_agrees_with_contains():
+    # every word of length <= 4, alone and in 2- and 3-word alternations,
+    # on all 26,641 Motzkin prefixes of length <= 10
+    prefixes = [p for n in range(11) for p in enumerate_motzkin_prefixes(n)]
+    words = ["".join(t) for n in range(5) for t in product("UHD", repeat=n)]
+    having = {q: [contains(p, q) for p in prefixes] for q in words}
+
+    def found(group):
+        return list(map(bool, map(_subword_regex(group).search, prefixes)))
+
+    for q in words:
+        assert found((q,)) == having[q], q
+    shuffled = random.Random(0).sample(words, len(words))
+    groups, i = [], 0
+    while i < len(shuffled):
+        k = 2 + len(groups) % 2
+        groups.append(shuffled[i:i + k])
+        i += k
+    for group in groups:
+        want = list(map(any, zip(*(having[q] for q in group))))
+        assert found(group) == want, group
+    assert _subword_regex(()).search("") is None
+
+
+def _oracle_count_by_scan(n, avoid, clauses):
+    """The oracle as a loop over `contains`: the reference for oracle_count."""
+    total = 0
+    for p in enumerate_motzkin(n):
+        if any(contains(p, q) for q in avoid):
+            continue
+        if all(any(contains(p, q) for q in clause) for clause in clauses):
+            total += 1
+    return total
+
+
+_words = st.text("UHD", max_size=4)
+
+
+@given(st.integers(0, 10), st.lists(_words, max_size=3),
+       st.lists(st.lists(_words, max_size=3), max_size=3))
+def test_oracle_count_matches_scan(n, avoid, clauses):
+    # "" members and empty clauses included: an empty clause admits no path
+    assert oracle_count(n, avoid, clauses) == _oracle_count_by_scan(
+        n, avoid, clauses)
