@@ -250,7 +250,8 @@ def build_parser() -> _Parser:
     add_patterns(p)
     p.add_argument("-N", "--max-length", type=_nonneg, default=10)
     p.add_argument("--oracle", action="store_true",
-                   help="cross-check against brute force")
+                   help="cross-check against the oracle (DP over "
+                        "height and greedy-scan state)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("genfun", help="print a generating function")

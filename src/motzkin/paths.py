@@ -1,30 +1,32 @@
 """Motzkin paths and prefixes as words over {U, H, D}, subword and crossing
-containment, and the brute-force enumeration oracle.
+containment, enumeration, and the counting oracle.
 
 Words are plain strings.  The step order U < H < D is fixed globally and
 governs every lexicographic enumeration and canonical sort in the package.
 
-The oracle enumerates every path by brute force; its containment test is
-one compiled regex per word set that accepts exactly the strings `contains`
-accepts, so the per-path scan runs in C.
+The oracle enumerates no paths: it counts by dynamic programming over
+(height, greedy-scan state), where the state records how far the greedy
+scan of `contains` has matched each word (a transfer-matrix count over the
+product of those scans).  Brute-force enumeration with `contains` is its
+reference in the tests.
 """
 
-import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse
 
 STEPS = "UHD"
 STEP_RANK = {"U": 0, "H": 1, "D": 2}
 STEP_HEIGHT = {"U": 1, "H": 0, "D": -1}
 
-# Brute-force enumeration is capped by default: m_18 is already ~3.1e6 paths.
+# Brute-force enumeration is capped by default: M_18 is already ~6.5e6 paths.
+# The oracle keeps the same cap, so an over-long request fails alike on
+# every route.
 DEFAULT_MAX_ORACLE_LENGTH = 18
 
 
 class ResourceLimitError(Exception):
-    """Raised when a brute-force request exceeds the configured cap."""
+    """Raised when an enumeration or oracle request exceeds the configured cap."""
 
 
 class NotUStartError(ValueError):
@@ -188,26 +190,50 @@ def oracle_count(n: int, avoid=(), contain_clauses=(), max_length: int | None = 
     Ground truth for every other counting route in the package.
     """
     _check_cap(n, max_length)
-    paths = filterfalse(_subword_regex(avoid).search, _walks(n, True))
+    words = list(avoid)
+    avoided = range(len(words))
+    clauses = []
     for clause in contain_clauses:
-        paths = filter(_subword_regex(clause).search, paths)
-    return sum(1 for _ in paths)
+        first = len(words)
+        words.extend(clause)
+        clauses.append(range(first, len(words)))
+    layer = _scan_layers(
+        words, lambda s: any(s[j] == len(words[j]) for j in avoided), n, True)
+    return sum(c for (h, s), c in layer.items() if h == 0 and all(
+        any(s[j] == len(words[j]) for j in clause) for clause in clauses))
 
 
-def _subword_regex(words) -> re.Pattern:
-    """A regex whose search succeeds exactly when the string contains at
-    least one of `words` as a subword, as `contains` decides it.
+def _scan_layers(words, dead, n: int, closed: bool) -> dict:
+    """Run the greedy scan of `contains` for every word in `words` along all
+    Motzkin prefixes of length n at once (paths, when closed).
 
-    The word q1...qk reads q1[^q2]*q2...[^qk]*qk: each gap stops at the first
-    next letter, the greedy scan of `contains` with no backtracking.  The empty
-    word is the empty pattern, which matches every string; no words at all
-    give (?!), which matches none, as any(()) is False.
+    A state is the tuple of how many letters of each word the scans have
+    matched; the walks whose state `dead` rejects are dropped.  Returns the
+    last layer {(height, state): number of walks}, empty when n < 0.
+    Transitions are built only for the states reached, so there are never
+    more of them than of the prefixes a brute-force enumeration would visit.
     """
-    alternatives = []
-    for q in words:
-        e = [re.escape(ch) for ch in q]
-        alternatives.append("".join(e[:1] + [f"[^{c}]*{c}" for c in e[1:]]))
-    return re.compile("|".join(alternatives) if alternatives else "(?!)")
+    start = (0,) * len(words)
+    layer = {} if n < 0 or dead(start) else {(0, start): 1}
+    moves = {}
+    for remaining in range(n, 0, -1):
+        nxt = defaultdict(int)
+        for (h, s), c in layer.items():
+            out = moves.get(s)
+            if out is None:
+                out = moves[s] = []
+                for ch in STEPS:
+                    t = tuple(i + (i < len(w) and w[i] == ch)
+                              for i, w in zip(s, words))
+                    if not dead(t):
+                        out.append((STEP_HEIGHT[ch], t))
+            for dh, t in out:
+                nh = h + dh
+                # prune: a closed walk must be able to return to 0
+                if 0 <= nh and (not closed or nh < remaining):
+                    nxt[nh, t] += c
+        layer = nxt
+    return layer
 
 
 def oracle_minco(q: str, n: int, h: int, max_length: int | None = None) -> int:
@@ -221,7 +247,13 @@ def oracle_minco(q: str, n: int, h: int, max_length: int | None = None) -> int:
 
 @lru_cache(maxsize=None)
 def _minco_heights(q: str, n: int) -> Counter:
-    """Final heights of the smallest containers of q of length n."""
-    search = _subword_regex((q,)).search
-    return Counter(height_profile(p)[0] for p in _walks(n, False)
-                   if search(p) and not search(p, 0, len(p) - 1))
+    """Final heights of the smallest containers of q of length n: prefixes
+    of length n-1 that avoid q and have matched all of it but its last
+    letter, extended by that letter."""
+    heights = Counter()
+    dh = STEP_HEIGHT[q[-1]]
+    for (h, (i,)), c in _scan_layers(
+            (q,), lambda s: s[0] == len(q), n - 1, False).items():
+        if i == len(q) - 1 and h + dh >= 0:
+            heights[h + dh] += c
+    return heights

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from motzkin import cli, paths
+from motzkin import cli
 from motzkin.classes import full_class, matches, normalize
 from motzkin.paths import enumerate_motzkin, contains
 
@@ -291,10 +291,8 @@ def test_negative_length_exits_1(capsys):
     ("sample -n 0 --avoid ''", 2),
     ("genfun --contain H --form sqrt", 4),
 ])
-def test_no_input_ends_in_traceback(args, code, monkeypatch, capsys):
-    # a lower oracle cap makes the over-cap runs fail at n = 13 instead of
-    # enumerating ~1 GB of paths up to n = 18 first
-    monkeypatch.setattr(paths, "DEFAULT_MAX_ORACLE_LENGTH", 12)
+def test_no_input_ends_in_traceback(args, code, capsys):
+    # the over-cap oracle runs count n <= 18 by DP, then stop on the cap
     got, _, err = run_cli(shlex.split(args), capsys)
     assert got == code
     assert "Traceback" not in err

@@ -1,7 +1,10 @@
-"""Core path predicates, enumeration and the brute-force oracle."""
+"""Core path predicates, enumeration, and the counting oracle against
+brute-force enumeration."""
 
 import random
+from collections import Counter
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +13,6 @@ from motzkin.paths import (
     STEP_RANK,
     CrossingPattern,
     NotUStartError,
-    _subword_regex,
     check_word,
     contains,
     contains_crossing,
@@ -152,14 +154,22 @@ def test_strip_containment_equivalence():
 
 
 def test_oracle_count_unrestricted():
-    for n, m in enumerate(MOTZKIN):
-        assert oracle_count(n) == m
+    # M_n = ((2n+1) M_{n-1} + (3n-3) M_{n-2}) / (n+2), up to the cap
+    m = MOTZKIN[:2]
+    for n in range(2, 19):
+        m.append(((2 * n + 1) * m[n - 1] + (3 * n - 3) * m[n - 2]) // (n + 2))
+    assert m[:len(MOTZKIN)] == MOTZKIN
+    assert [oracle_count(n) for n in range(19)] == m
 
 
 def test_oracle_count_avoidance_sequences():
     # interleaved Catalan structure for HH-avoiders
     got = [oracle_count(n, avoid=("HH",)) for n in range(13)]
     assert got == [1, 1, 1, 3, 2, 10, 5, 35, 14, 126, 42, 462, 132]
+    # past the cap: Catalan C_k at length 2k, C(2k+1, k) at length 2k+1
+    got = [oracle_count(n, avoid=("HH",), max_length=40) for n in range(41)]
+    assert got == [comb(n, n // 2) // (n // 2 + 1) if n % 2 == 0
+                   else comb(n, n // 2) for n in range(41)]
     got = [oracle_count(n, avoid=("H",)) for n in range(13)]
     assert got == [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
     got = [oracle_count(n, avoid=("D",)) for n in range(8)]
@@ -215,28 +225,39 @@ def test_negative_lengths_give_no_walks():
     assert oracle_minco("U", -1, 0) == 0
 
 
-def test_subword_regex_agrees_with_contains():
-    # every word of length <= 4, alone and in 2- and 3-word alternations,
-    # on all 26,641 Motzkin prefixes of length <= 10
-    prefixes = [p for n in range(11) for p in enumerate_motzkin_prefixes(n)]
+def test_oracle_count_matches_contains_exhaustively():
+    # every word of length <= 4, alone and in seeded 2- and 3-word groups,
+    # as an avoid set and as one clause, on all Motzkin paths of length <= 10
+    paths = [p for n in range(11) for p in enumerate_motzkin(n)]
     words = ["".join(t) for n in range(5) for t in product("UHD", repeat=n)]
-    having = {q: [contains(p, q) for p in prefixes] for q in words}
-
-    def found(group):
-        return list(map(bool, map(_subword_regex(group).search, prefixes)))
-
-    for q in words:
-        assert found((q,)) == having[q], q
+    having = {q: [contains(p, q) for p in paths] for q in words}
     shuffled = random.Random(0).sample(words, len(words))
     groups, i = [], 0
     while i < len(shuffled):
         k = 2 + len(groups) % 2
         groups.append(shuffled[i:i + k])
         i += k
-    for group in groups:
-        want = list(map(any, zip(*(having[q] for q in group))))
-        assert found(group) == want, group
-    assert _subword_regex(()).search("") is None
+    for group in [[q] for q in words] + groups:
+        hit = list(map(any, zip(*(having[q] for q in group))))
+        avoiding = Counter(len(p) for p, x in zip(paths, hit) if not x)
+        containing = Counter(len(p) for p, x in zip(paths, hit) if x)
+        for n in range(11):
+            assert oracle_count(n, group) == avoiding[n], (n, group)
+            assert oracle_count(n, (), (group,)) == containing[n], (n, group)
+
+
+def test_oracle_minco_per_height():
+    # brute force: prefixes that contain q while their own prefix one step
+    # shorter does not (the empty prefix has no such prefix)
+    words = ["".join(t) for n in range(4) for t in product("UHD", repeat=n)]
+    for n in range(10):
+        prefixes = enumerate_motzkin_prefixes(n)
+        for q in words:
+            want = Counter(height_profile(p)[0] for p in prefixes
+                           if contains(p, q)
+                           and not (p and contains(p[:-1], q)))
+            for h in range(n + 1):
+                assert oracle_minco(q, n, h) == want[h], (q, n, h)
 
 
 def _oracle_count_by_scan(n, avoid, clauses):
