@@ -12,6 +12,7 @@ never collide.
 """
 
 import enum
+from bisect import bisect, insort
 from dataclasses import dataclass
 
 from .paths import (
@@ -96,18 +97,60 @@ def full_class(avoid=(), contain=()) -> ClassDescriptor:
     return ClassDescriptor(Mode.FULL, av, co)
 
 
-def _minimal(items) -> list[CrossingPattern]:
-    """The items no other item implies (repeats kept once).
+def _minimal(items, antichain=()) -> list[CrossingPattern]:
+    """The members of antichain + items that no other member implies,
+    sorted by pattern_key (repeats kept once); antichain must be sorted
+    and an antichain already.
 
-    An item is implied only by strictly shorter ones, and implication is
-    transitive, so scanning by total length and checking each item
-    against the kept ones alone is enough.
+    crossing_implies is a partial order, and an item is implied only by
+    itself or by items before it in pattern_key order (keys compare the
+    lengths of the sides first, and a subword as long as its word is
+    that word).  So scanning the items in key order and checking each
+    against the kept ones alone is enough.  With no antichain the kept
+    ones all come before the item and none is implied by it.
     """
-    kept: list[CrossingPattern] = []
-    for b in sorted(items, key=lambda cp: len(cp.left) + len(cp.right)):
+    kept = list(antichain)
+    for b in sorted(items, key=pattern_key):
         if not any(crossing_implies(a, b) for a in kept):
-            kept.append(b)
+            if antichain:
+                kept = [a for a in kept if not crossing_implies(b, a)]
+                insort(kept, b, key=pattern_key)
+            else:
+                kept.append(b)
     return kept
+
+
+def _possible(members, avoid) -> list[CrossingPattern]:
+    """The members no avoided pattern implies: the others cannot occur."""
+    return [q for q in members
+            if not any(crossing_implies(a, q) for a in avoid)]
+
+
+def _reduce_clause(clause, avoid, triv):
+    """A clause in normal form against the normalized avoids: None when
+    a member is trivially contained (the clause always holds), () when
+    no member can occur (the class is empty), otherwise its minimal
+    possible members as a sorted tuple."""
+    if any(map(triv, clause)):
+        return None
+    return tuple(_minimal(_possible(clause, avoid)))
+
+
+def _forces(t, s) -> bool:
+    """Clause t forces clause s: every member of t has a member of s as
+    a subpattern, so s holds wherever t does."""
+    return all(any(crossing_implies(m, mp) for m in s) for mp in t)
+
+
+def _unforced(clauses, others) -> list:
+    """The clauses that no different clause among `others` forces."""
+    return [s for s in clauses
+            if not any(t != s and _forces(t, s) for t in others)]
+
+
+def _triv(d: ClassDescriptor):
+    """The test for a pattern every path of d's kind contains."""
+    return lambda cp: trivially_contained(cp, d.mode, d.crossing)
 
 
 def normalize(d: ClassDescriptor):
@@ -123,32 +166,64 @@ def normalize(d: ClassDescriptor):
     reduced clauses, so each step has one result and a second pass
     would change nothing.
     """
-    triv = lambda cp: trivially_contained(cp, d.mode, d.crossing)
+    triv = _triv(d)
     if any(map(triv, d.avoid)):
         return EMPTY
     avoid = _minimal(d.avoid)
-
-    clauses: set[frozenset[CrossingPattern]] = set()
+    clauses = set()
     for clause in d.contain:
-        if any(map(triv, clause)):
-            continue
-        live = [q for q in clause
-                if not any(crossing_implies(a, q) for a in avoid)]
-        if not live:
+        reduced = _reduce_clause(clause, avoid, triv)
+        if reduced == ():
             return EMPTY
-        clauses.add(frozenset(_minimal(live)))
+        if reduced is not None:
+            clauses.add(reduced)
+    contain = tuple(sorted(_unforced(clauses, clauses), key=clause_key))
+    return ClassDescriptor(d.mode, tuple(avoid), contain, d.crossing)
 
-    # t forces s (s is redundant) when every member of t has a member of
-    # s as a subpattern
-    kept = [s for s in clauses
-            if not any(t != s and all(any(crossing_implies(m, mp) for m in s)
-                                      for mp in t)
-                       for t in clauses)]
 
-    norm_avoid = tuple(sorted(avoid, key=pattern_key))
-    norm_contain = tuple(sorted((tuple(sorted(c, key=pattern_key))
-                                 for c in kept), key=clause_key))
-    return ClassDescriptor(d.mode, norm_avoid, norm_contain, d.crossing)
+def extend(d: ClassDescriptor, new_avoid=None, old_clause=None,
+           new_clauses=()):
+    """normalize of a normalized descriptor with one more avoided
+    pattern and with one of its clauses replaced by new clauses; either
+    change may be absent.
+
+    Only the work the change can cause is done.  The new avoid is
+    compared with the kept avoids alone, and the kept clauses lose only
+    the members it implies; new clauses are reduced in full.  The kept
+    clauses force none of each other, and a clause that lost members
+    forces no fewer clauses and is forced by no more than before, so
+    forcing is tested only on pairs with a new or shrunk clause.
+    """
+    triv = _triv(d)
+    avoid = d.avoid
+    same = [c for c in d.contain if c != old_clause]
+    changed = []
+    if new_avoid is not None:
+        if triv(new_avoid):
+            return EMPTY
+        avoid = tuple(_minimal((new_avoid,), avoid))
+        clauses, same = same, []
+        for clause in clauses:
+            live = _possible(clause, (new_avoid,))
+            if not live:
+                return EMPTY
+            if len(live) == len(clause):
+                same.append(clause)
+            else:
+                changed.append(tuple(live))
+    for clause in new_clauses:
+        reduced = _reduce_clause(clause, avoid, triv)
+        if reduced == ():
+            return EMPTY
+        if reduced is not None:
+            changed.append(reduced)
+    contain = same
+    if changed:
+        changed = list(dict.fromkeys(c for c in changed if c not in same))
+        contain = _unforced(same, changed)
+        for clause in _unforced(changed, same + changed):
+            insort(contain, clause, key=clause_key)
+    return ClassDescriptor(d.mode, avoid, tuple(contain), d.crossing)
 
 
 def epsilon_member(d: ClassDescriptor) -> bool:

@@ -295,7 +295,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, StrategyError, ResourceLimitError) as exc:
+    except (ValueError, OverflowError, StrategyError,
+            ResourceLimitError) as exc:
+        # OverflowError: a length too large to index a list (series:N)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

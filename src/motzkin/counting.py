@@ -13,7 +13,7 @@ from math import prod
 from operator import getitem, mul
 
 from .paths import ResourceLimitError
-from .strategies import Specification
+from .strategies import Specification, strongly_connected
 
 DEFAULT_GENERATE_CAP = 10 ** 6
 
@@ -34,12 +34,17 @@ class SpecCounter:
                    [self._counts[f] for f in factors])
                   for atom, factors in rule.terms]
             for cid, rule in spec.rules.items()}
-        # a cycle of atom-free terms has no finite count and raises here;
-        # graphlib is imported on use to keep it out of `import motzkin`
-        from graphlib import TopologicalSorter
-        self._order = list(TopologicalSorter({
-            cid: [f for size, _, fs, _ in terms if not size for f in fs]
-            for cid, terms in self._terms.items()}).static_order())
+        # classes in dependency order along atom-free terms, which read
+        # counts of the same length; a cycle of them has no finite count
+        edges = {cid: [f for size, _, fs, _ in terms if not size for f in fs]
+                 for cid, terms in self._terms.items()}
+        self._order = []
+        for comp in strongly_connected(list(edges), edges):
+            if len(comp) > 1 or comp[0] in edges[comp[0]]:
+                raise ValueError(
+                    f"classes {', '.join(comp)} form a cycle of rules"
+                    " that add no letter")
+            self._order += comp
         # unions and arches draw even with one choice: it fixes the stream
         self._draws = {cid for cid, rule in spec.rules.items()
                        if rule.kind == "union" or rule.atom == "UD"}

@@ -34,7 +34,7 @@ from .algebra import (
 )
 from .classes import class_id, full_class, normalize
 from .paths import check_word
-from .strategies import Specification
+from .strategies import Specification, strongly_connected
 
 K_XX = K_X * K_X
 K_ONE_MINUS_X = k_of(ratx([1, -1]))
@@ -125,54 +125,6 @@ class NonClosedForm:
     reason: str
 
 
-def _strongly_connected(order: list[str],
-                        edges: dict[str, list[str]]) -> list[list[str]]:
-    """Tarjan components, dependencies-first."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[list[str]] = []
-    counter = 0
-
-    for start in order:
-        if start in index:
-            continue
-        work = [(start, 0)]
-        while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for k in range(ei, len(edges[node])):
-                nxt = edges[node][k]
-                if nxt not in index:
-                    work.append((node, k + 1))
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return out
-
-
 def solve_closed_form(spec: Specification):
     """Map of class id to its generating function in K, or NonClosedForm.
 
@@ -193,7 +145,7 @@ def solve_closed_form(spec: Specification):
               if c in spec.rules and c not in values]
         for cid in unknowns
     }
-    for comp in _strongly_connected(unknowns, edges):
+    for comp in strongly_connected(unknowns, edges):
         result = _solve_component(spec, comp, values)
         if result is not None:
             return NonClosedForm(extract_equations(spec), result)

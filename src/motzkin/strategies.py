@@ -28,10 +28,9 @@ from .classes import (
     ClassDescriptor,
     Mode,
     class_id,
-    clause_key,
     epsilon_member,
+    extend,
     normalize,
-    pattern_key,
     plain,
 )
 from .paths import CrossingPattern, split_pattern, strip
@@ -83,6 +82,57 @@ class Rule:
         return [("", ())] if self.kind == "epsilon" else []
 
 
+def strongly_connected(order: list[str],
+                       edges: dict[str, list[str]]) -> list[list[str]]:
+    """Strongly connected components of a graph, each after every
+    component it has an edge to (Tarjan 1972, without recursion).
+    Nodes are visited from `order`; every node's edges are listed in
+    `edges`."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    out: list[list[str]] = []
+    counter = 0
+
+    for start in order:
+        if start in index:
+            continue
+        work = [(start, 0)]
+        while work:
+            node, ei = work.pop()
+            if ei == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            for k in range(ei, len(edges[node])):
+                nxt = edges[node][k]
+                if nxt not in index:
+                    work.append((node, k + 1))
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    top = stack.pop()
+                    on_stack.discard(top)
+                    comp.append(top)
+                    if top == node:
+                        break
+                out.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return out
+
+
 @dataclass
 class Specification:
     root: str
@@ -91,17 +141,14 @@ class Specification:
 
 
 def root_split(d: ClassDescriptor) -> list:
-    """Children of a Full class: epsilon, H-start copy, U-start copy."""
+    """Children of a normalized Full class: epsilon, H-start copy,
+    U-start copy.  The copies are already normal, as normalize does not
+    depend on the mode for plain patterns."""
     if d.mode is not Mode.FULL:
         raise StrategyError("root_split applies to Full classes")
-    children = []
-    if epsilon_member(d):
-        children.append(EPSILON)
-    for mode in (Mode.HSTART, Mode.USTART):
-        child = normalize(ClassDescriptor(mode, d.avoid, d.contain))
-        if child is not EMPTY:
-            children.append(child)
-    return children
+    children = [EPSILON] if epsilon_member(d) else []
+    return children + [ClassDescriptor(mode, d.avoid, d.contain)
+                       for mode in (Mode.HSTART, Mode.USTART)]
 
 
 def _drop_leading_h(cp: CrossingPattern) -> CrossingPattern:
@@ -147,36 +194,54 @@ def crossify(d: ClassDescriptor):
 
 
 def _offending(d: ClassDescriptor):
-    """Least item blocking factorization, or None when d is local."""
-    multi = [c for c in d.contain if len(c) > 1]
+    """Least item blocking factorization, or None when d is local.
+
+    d is normalized, so its clauses and avoids are sorted and the first
+    one found is the least.
+    """
+    multi = next((c for c in d.contain if len(c) > 1), None)
     if multi:
-        return "choose", min(multi, key=clause_key)
-    conj = [c for c in d.contain if not c[0].is_local]
+        return "choose", multi
+    conj = next((c for c in d.contain if not c[0].is_local), None)
     if conj:
-        return "unzip", min(conj, key=clause_key)
-    bad = [cp for cp in d.avoid if not cp.is_local]
+        return "unzip", conj
+    bad = next((cp for cp in d.avoid if not cp.is_local), None)
     if bad:
-        return "split", min(bad, key=pattern_key)
+        return "split", bad
     return None
 
 
-def _replace_clause(contain, old, new_clauses):
-    out = []
-    for clause in contain:
-        if clause == old:
-            out.extend(new_clauses)
-        else:
-            out.append(clause)
-    return tuple(out)
+def branches(kind: str, item) -> list:
+    """The disjoint branches at an offending item, each as (avoided
+    pattern added, clause replaced, clauses put in its place).
+
+    choose:  a clause with least member q holds when q is avoided and
+             another member occurs, or when q occurs.
+    unzip:   a non-local member l-r occurs when both l- and -r occur.
+    split:   a non-local l-r is avoided when l- is avoided, or when -r
+             is avoided and l- occurs.
+    """
+    if kind == "choose":
+        q = item[0]
+        return [(q, None, ()), (None, item, ((q,),))]
+    if kind == "unzip":
+        cp = item[0]
+        return [(None, item, ((CrossingPattern(cp.left, ""),),
+                              (CrossingPattern("", cp.right),)))]
+    left = CrossingPattern(item.left, "")
+    return [(left, None, ()),
+            (CrossingPattern("", item.right), None, ((left,),))]
 
 
 def localize(d: ClassDescriptor) -> list[ClassDescriptor]:
-    """Disjoint local refinements of a crossing U-start class.
+    """Disjoint local refinements of a normalized crossing U-start class.
 
     Multi-member clauses split on whether their least member occurs;
     a non-local clause member is a conjunction of its two sides; a
-    non-local avoided pattern splits on whether its left side occurs.
-    Empty branches are pruned; leaves are returned in discovery order.
+    non-local avoided pattern splits on whether its left side occurs
+    (see `branches`).  Each branch is normalized from its normalized
+    parent by `extend`.  Empty branches are pruned; leaves are returned
+    in discovery order.
     """
     if d.mode is not Mode.USTART or not d.crossing:
         raise StrategyError("localize applies to crossing U-start classes")
@@ -192,35 +257,10 @@ def localize(d: ClassDescriptor) -> list[ClassDescriptor]:
         if item is None:
             leaves.append(cur)
             continue
-        kind, payload = item
-        branches: list[ClassDescriptor] = []
-        if kind == "choose":
-            q = min(payload, key=pattern_key)
-            branches.append(ClassDescriptor(
-                cur.mode, cur.avoid + (q,), cur.contain, cur.crossing))
-            branches.append(ClassDescriptor(
-                cur.mode, cur.avoid,
-                _replace_clause(cur.contain, payload, [(q,)]), cur.crossing))
-        elif kind == "unzip":
-            cp = payload[0]
-            halves = [(CrossingPattern(cp.left, ""),),
-                      (CrossingPattern("", cp.right),)]
-            branches.append(ClassDescriptor(
-                cur.mode, cur.avoid,
-                _replace_clause(cur.contain, payload, halves), cur.crossing))
-        else:
-            cp = payload
-            branches.append(ClassDescriptor(
-                cur.mode, cur.avoid + (CrossingPattern(cp.left, ""),),
-                cur.contain, cur.crossing))
-            branches.append(ClassDescriptor(
-                cur.mode, cur.avoid + (CrossingPattern("", cp.right),),
-                cur.contain + ((CrossingPattern(cp.left, ""),),),
-                cur.crossing))
-        for child in reversed(branches):
-            nc = normalize(child)
-            if nc is not EMPTY:
-                stack.append(nc)
+        for change in reversed(branches(*item)):
+            child = extend(cur, *change)
+            if child is not EMPTY:
+                stack.append(child)
     return leaves
 
 

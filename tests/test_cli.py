@@ -290,6 +290,7 @@ def test_negative_length_exits_1(capsys):
     ("count -N 19 --avoid HH --oracle", 1),
     ("sample -n 0 --avoid ''", 2),
     ("genfun --contain H --form sqrt", 4),
+    ("genfun --pattern H --form series:99999999999999999999", 1),
 ])
 def test_no_input_ends_in_traceback(args, code, capsys):
     # the over-cap oracle runs count n <= 18 by DP, then stop on the cap

@@ -133,3 +133,6 @@ def test_same_length_cycle_is_rejected():
              "B": Rule("union", children=("A",))}
     with pytest.raises(ValueError):
         SpecCounter(Specification("A", rules, {}))
+    loop = {"A": Rule("union", children=("A",))}
+    with pytest.raises(ValueError):
+        SpecCounter(Specification("A", loop, {}))

@@ -2,12 +2,14 @@
 brute-force membership oracle."""
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from motzkin.classes import (
     EMPTY,
     ClassDescriptor,
     Mode,
     class_id,
+    extend,
     full_class,
     matches,
     normalize,
@@ -20,6 +22,7 @@ from motzkin.strategies import (
     EPSILON_ID,
     Rule,
     StrategyError,
+    branches,
     build_specification,
     crossify,
     factor,
@@ -70,6 +73,14 @@ def test_root_split_no_epsilon_when_contain():
     assert EPSILON not in children
 
 
+def test_root_split_copies_are_normal():
+    d = normalize(full_class(avoid=("HH", "UHD", "UHHD"),
+                             contain=(("UU", "H", "HUU"), ("DU",))))
+    children = root_split(d)
+    assert [c.mode for c in children] == [Mode.HSTART, Mode.USTART]
+    assert all(normalize(c) == c for c in children)
+
+
 def test_hstart_rewrite_strips_one_leading_h():
     d = ClassDescriptor(Mode.HSTART, (plain("HH"),), ())
     assert class_id(hstart_rewrite(d)) == "Av(H)"
@@ -117,6 +128,33 @@ def test_localize_is_a_disjoint_cover():
             assert sum(len(s) for s in parts) == len(whole)
             got = set().union(*parts) if parts else set()
             assert got == whole
+
+
+_CUTS = st.text("UHD", min_size=1, max_size=4).flatmap(
+    lambda w: st.integers(0, len(w)).map(
+        lambda i: CrossingPattern(w[:i], w[i:])))
+
+
+@given(st.lists(_CUTS, max_size=4),
+       st.lists(st.lists(_CUTS, min_size=1, max_size=3), max_size=3))
+def test_localize_branches_equal_normalize_of_raw_child(avoid, contain):
+    """Each branch, normalized from its normalized parent, equals the
+    raw branch normalized from scratch (EMPTY included), for every kind
+    of branching step and every item it could apply to."""
+    d = normalize(ClassDescriptor(Mode.USTART, tuple(avoid),
+                                  tuple(map(tuple, contain)), crossing=True))
+    assume(d is not EMPTY)
+    items = ([("choose", c) for c in d.contain if len(c) > 1]
+             + [("unzip", c) for c in d.contain
+                if len(c) == 1 and not c[0].is_local]
+             + [("split", q) for q in d.avoid if not q.is_local])
+    for kind, item in items:
+        for new_avoid, old, new in branches(kind, item):
+            raw = ClassDescriptor(
+                d.mode, d.avoid + ((new_avoid,) if new_avoid else ()),
+                tuple(c for c in d.contain if c != old) + new, d.crossing)
+            assert extend(d, new_avoid, old, new) == normalize(raw), (
+                kind, item)
 
 
 def test_factor_splits_arch():
