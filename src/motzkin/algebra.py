@@ -14,8 +14,8 @@ Layers:
          coefficient of den.  Arithmetic stays in Z[x]; gcds come from
          the primitive polynomial remainder sequence (Collins 1967).
   KElem  a + b*C with RatX components.
-  YRat   reduced fraction of KElem-coefficient polynomials in y,
-         denominator monic in y.
+  YRat   polynomial in y over K divided by powers of the two kernel
+         factors 1-x-xy and 1-x^2*C-xy.
 """
 
 from dataclasses import dataclass
@@ -154,12 +154,6 @@ def _cancel(*ps) -> list[list[int]]:
     return ps
 
 
-def px_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor over Q."""
-    g = _zgcd(*_primitive(p, q))
-    return tuple(Fraction(c, g[-1]) for c in g)
-
-
 @dataclass(frozen=True)
 class RatX:
     """Rational function of x in the canonical integer form above."""
@@ -293,10 +287,6 @@ def yp_add(p: KyPoly, q: KyPoly) -> KyPoly:
                + (q[i] if i < len(q) else K_ZERO) for i in range(n)])
 
 
-def yp_neg(p: KyPoly) -> KyPoly:
-    return tuple(-c for c in p)
-
-
 def yp_mul(p: KyPoly, q: KyPoly) -> KyPoly:
     if not p or not q:
         return ()
@@ -307,36 +297,6 @@ def yp_mul(p: KyPoly, q: KyPoly) -> KyPoly:
     return yp(out)
 
 
-def yp_scale(p: KyPoly, k: KElem) -> KyPoly:
-    if k.is_zero():
-        return ()
-    return tuple(c * k for c in p)
-
-
-def yp_divmod(p: KyPoly, q: KyPoly) -> tuple[KyPoly, KyPoly]:
-    if not q:
-        raise ZeroDivisionError("division by zero polynomial in y")
-    rem = list(p)
-    quo = [K_ZERO] * max(len(p) - len(q) + 1, 0)
-    inv_lead = q[-1].inverse()
-    for i in range(len(rem) - len(q), -1, -1):
-        c = rem[i + len(q) - 1] * inv_lead
-        if c.is_zero():
-            continue
-        quo[i] = c
-        for j, b in enumerate(q):
-            rem[i + j] = rem[i + j] - c * b
-    return yp(quo), yp(rem)
-
-
-def yp_gcd(p: KyPoly, q: KyPoly) -> KyPoly:
-    while q:
-        p, q = q, yp_divmod(p, q)[1]
-    if not p:
-        return ()
-    return yp_scale(p, p[-1].inverse())
-
-
 def yp_eval(p: KyPoly, v: KElem) -> KElem:
     out = K_ZERO
     for c in reversed(p):
@@ -344,48 +304,95 @@ def yp_eval(p: KyPoly, v: KElem) -> KElem:
     return out
 
 
+def yp_div_root(p: KyPoly, r: KElem) -> KyPoly:
+    """Quotient of p by y - r by synthetic division; raises
+    ArithmeticError unless r is a root of p."""
+    acc = K_ZERO
+    out = []
+    for c in reversed(p):
+        acc = acc * r + c
+        out.append(acc)
+    if out and not out.pop().is_zero():
+        raise ArithmeticError("y - r does not divide the polynomial")
+    return tuple(reversed(out))
+
+
+# The kernel factors F1 = 1 - x - xy and F2 = 1 - x^2*C - xy; each is
+# -x*(y - root), with roots (1-x)/x and 1/(xC).
+F1: KyPoly = (KElem.of([1, -1]), -K_X)
+F2: KyPoly = (K_ONE - K_X * K_X * K_C, -K_X)
+F1_ROOT = KElem.of(ratx([1, -1], [0, 1]))
+F2_ROOT = KElem.of(ratx(1, [0, 1]), [0, -1])
+K_NEG_INV_X = KElem.of(ratx(-1, [0, 1]))
+
+
+def kernel_mul(p: KyPoly, a: int, b: int) -> KyPoly:
+    """p * F1^a * F2^b."""
+    for f in (F1,) * a + (F2,) * b:
+        p = yp_mul(p, f)
+    return p
+
+
 @dataclass(frozen=True)
 class YRat:
-    """Reduced rational function of y over K, denominator monic in y."""
+    """num/(F1^a * F2^b), num a polynomial in y over K.
+
+    The prefix recursions cancel every other root of their denominators
+    (the kernel method), so no other factor arises.  Canonical: num does
+    not vanish at the root of a factor with positive exponent, and zero
+    is ((), 0, 0).
+    """
 
     num: KyPoly
-    den: KyPoly
+    a: int = 0
+    b: int = 0
 
     @staticmethod
-    def make(num: KyPoly, den: KyPoly = (K_ONE,)) -> "YRat":
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
+    def make(num: KyPoly, a: int = 0, b: int = 0) -> "YRat":
+        """num/(F1^a * F2^b) with the common kernel factors divided out."""
         if not num:
-            return YRat((), (K_ONE,))
-        g = yp_gcd(num, den)
-        if len(g) > 1:
-            num = yp_divmod(num, g)[0]
-            den = yp_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != K_ONE:
-            inv = lead.inverse()
-            num = yp_scale(num, inv)
-            den = yp_scale(den, inv)
-        return YRat(num, den)
+            return YRat(())
+        while a and yp_eval(num, F1_ROOT).is_zero():
+            num = yp_mul(yp_div_root(num, F1_ROOT), (K_NEG_INV_X,))
+            a -= 1
+        while b and yp_eval(num, F2_ROOT).is_zero():
+            num = yp_mul(yp_div_root(num, F2_ROOT), (K_NEG_INV_X,))
+            b -= 1
+        return YRat(num, a, b)
+
+    @property
+    def den(self) -> KyPoly:
+        return kernel_mul((K_ONE,), self.a, self.b)
 
     def __add__(self, o: "YRat") -> "YRat":
-        return YRat.make(yp_add(yp_mul(self.num, o.den),
-                                yp_mul(o.num, self.den)),
-                         yp_mul(self.den, o.den))
+        a, b = max(self.a, o.a), max(self.b, o.b)
+        return YRat.make(yp_add(kernel_mul(self.num, a - self.a, b - self.b),
+                                kernel_mul(o.num, a - o.a, b - o.b)), a, b)
 
     def __neg__(self) -> "YRat":
-        return YRat(yp_neg(self.num), self.den)
+        return YRat(tuple(-c for c in self.num), self.a, self.b)
 
     def __sub__(self, o: "YRat") -> "YRat":
         return self + (-o)
 
     def __mul__(self, o: "YRat") -> "YRat":
-        return YRat.make(yp_mul(self.num, o.num), yp_mul(self.den, o.den))
+        return YRat.make(yp_mul(self.num, o.num),
+                         self.a + o.a, self.b + o.b)
 
     def __truediv__(self, o: "YRat") -> "YRat":
+        """Quotient by o, whose numerator must be a unit of K times kernel
+        factors; any other divisor raises ValueError."""
         if not o.num:
             raise ZeroDivisionError("division by zero rational function")
-        return YRat.make(yp_mul(self.num, o.den), yp_mul(self.den, o.num))
+        n = len(o.num)
+        unit = YRat.make(o.num, n, n)   # every kernel factor divided out
+        if len(unit.num) > 1:
+            raise ValueError("divisor is not a unit times kernel factors")
+        a = self.a + n - unit.a - o.a
+        b = self.b + n - unit.b - o.b
+        num = yp_mul(self.num, (unit.num[0].inverse(),))
+        return YRat.make(kernel_mul(num, max(-a, 0), max(-b, 0)),
+                         max(a, 0), max(b, 0))
 
     def subst(self, v: KElem) -> KElem:
         """Value at y = v; the denominator must not vanish there."""
@@ -398,27 +405,20 @@ class YRat:
         return not self.num
 
 
-Y_ZERO = YRat.make(())
-Y_ONE = YRat.make((K_ONE,))
-Y_VAR = YRat.make((K_ZERO, K_ONE))
+Y_ONE = YRat((K_ONE,))
 
 
 def y_series(f: YRat, h_max: int) -> list[KElem]:
     """Coefficients of y^0..y^h_max of f expanded as a series in y."""
-    if not f.den or f.den[0].is_zero():
-        raise NotAPowerSeriesError("pole at y = 0")
-    inv0 = f.den[0].inverse()
+    den = f.den
+    inv0 = den[0].inverse()
     out: list[KElem] = []
     for h in range(h_max + 1):
         acc = f.num[h] if h < len(f.num) else K_ZERO
-        for j in range(1, min(h, len(f.den) - 1) + 1):
-            acc = acc - f.den[j] * out[h - j]
+        for j in range(1, min(h, len(den) - 1) + 1):
+            acc = acc - den[j] * out[h - j]
         out.append(acc * inv0)
     return out
-
-
-def y_const(k: KElem) -> YRat:
-    return YRat.make(yp([k]))
 
 
 # power series and closed forms

@@ -51,10 +51,6 @@ def plain(word: str) -> CrossingPattern:
     return CrossingPattern("", word)
 
 
-def pattern_key(cp: CrossingPattern):
-    return cp.key()
-
-
 def clause_key(clause: tuple[CrossingPattern, ...]):
     return tuple(cp.key() for cp in clause)
 
@@ -99,22 +95,22 @@ def full_class(avoid=(), contain=()) -> ClassDescriptor:
 
 def _minimal(items, antichain=()) -> list[CrossingPattern]:
     """The members of antichain + items that no other member implies,
-    sorted by pattern_key (repeats kept once); antichain must be sorted
-    and an antichain already.
+    sorted by CrossingPattern.key (repeats kept once); antichain must be
+    sorted and an antichain already.
 
     crossing_implies is a partial order, and an item is implied only by
-    itself or by items before it in pattern_key order (keys compare the
+    itself or by items before it in key order (keys compare the
     lengths of the sides first, and a subword as long as its word is
     that word).  So scanning the items in key order and checking each
     against the kept ones alone is enough.  With no antichain the kept
     ones all come before the item and none is implied by it.
     """
     kept = list(antichain)
-    for b in sorted(items, key=pattern_key):
+    for b in sorted(items, key=CrossingPattern.key):
         if not any(crossing_implies(a, b) for a in kept):
             if antichain:
                 kept = [a for a in kept if not crossing_implies(b, a)]
-                insort(kept, b, key=pattern_key)
+                insort(kept, b, key=CrossingPattern.key)
             else:
                 kept.append(b)
     return kept

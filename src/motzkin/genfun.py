@@ -24,20 +24,22 @@ from .algebra import (
     K_X,
     K_ZERO,
     KElem,
+    KyPoly,
     Y_ONE,
-    Y_VAR,
     YRat,
     k_of,
+    kernel_mul,
     ratx,
-    y_const,
-    yp,
+    yp_add,
+    yp_div_root,
+    yp_eval,
+    yp_mul,
 )
 from .classes import class_id, full_class, normalize
 from .paths import check_word
 from .strategies import Specification, strongly_connected
 
 K_XX = K_X * K_X
-K_ONE_MINUS_X = k_of(ratx([1, -1]))
 K_INV_ONE_MINUS_X = k_of(ratx(1, [1, -1]))
 K_X_OVER_ONE_MINUS_X = k_of(ratx([0, 1], [1, -1]))
 K_XC = K_X * K_C
@@ -46,31 +48,32 @@ _X_POWERS = (K_ONE, K_X, K_XX)
 DYCK_ID = class_id(normalize(full_class(avoid=("H",))))
 
 
+def _divided_difference(num: KyPoly, a: int, b: int, r: KElem) -> KyPoly:
+    """Numerator over F1^a * F2^b of (h(y) - h(r))/(y - r), where h is
+    num/(F1^a * F2^b); yp_div_root checks that the division is exact."""
+    den = kernel_mul((K_ONE,), a, b)
+    hr = yp_eval(num, r) / yp_eval(den, r)
+    return yp_div_root(yp_add(num, yp_mul(den, (-hr,))), r)
+
+
 def _step_u(g: YRat) -> YRat:
-    """Append U: prefactor xy/((1-x)(x-y(1-x)))."""
-    gv = g.subst(K_X_OVER_ONE_MINUS_X)
-    num = YRat.make(yp([K_ZERO, K_X]))
-    den = YRat.make(yp([K_ONE_MINUS_X * K_X,
-                        -(K_ONE_MINUS_X * K_ONE_MINUS_X)]))
-    bracket = y_const(K_X * gv) - Y_VAR * y_const(K_ONE_MINUS_X) * g
-    return num / den * bracket
+    """Append U: xy/(1-x) * (h(y) - h(y0))/(y - y0), h = y*g, y0 = x/(1-x)."""
+    q = _divided_difference((K_ZERO,) + g.num, g.a, g.b,
+                            K_X_OVER_ONE_MINUS_X)
+    return YRat.make(yp_mul(q, (K_ZERO, K_X_OVER_ONE_MINUS_X)), g.a, g.b)
 
 
 def _step_h(g: YRat) -> YRat:
-    """Append H: Dyck-prefix prefactor written as 1/(1-xy-x^2*C)."""
-    gv = g.subst(K_XC)
-    dyck_den = YRat.make(yp([K_ONE - K_XX * K_C, -K_X]))
-    lin = YRat.make(yp([-K_XC, K_ONE]))
-    bracket = Y_VAR * g - y_const(K_XC * gv)
-    return y_const(K_X) * bracket / (dyck_den * lin)
+    """Append H: x/F2 * (h(y) - h(xC))/(y - xC), h = y*g, where the kernel
+    F2 = 1 - x^2*C - xy is the Dyck-prefix denominator."""
+    q = _divided_difference((K_ZERO,) + g.num, g.a, g.b, K_XC)
+    return YRat.make(yp_mul(q, (K_X,)), g.a, g.b + 1)
 
 
 def _step_d(g: YRat) -> YRat:
-    """Append D: (x/y)(g/(1-x-xy) - g(x,0)/(1-x))."""
-    g0 = g.subst(K_ZERO)
-    a_den = YRat.make(yp([K_ONE_MINUS_X, -K_X]))
-    part = g / a_den - y_const(g0 * K_INV_ONE_MINUS_X)
-    return y_const(K_X) * part / Y_VAR
+    """Append D: x * (h(y) - h(0))/y, h = g/F1, F1 = 1 - x - xy."""
+    q = _divided_difference(g.num, g.a + 1, g.b, K_ZERO)
+    return YRat.make(yp_mul(q, (K_X,)), g.a + 1, g.b)
 
 _STEPS = {"U": _step_u, "H": _step_h, "D": _step_d}
 
@@ -84,12 +87,9 @@ def gamma(q: str) -> YRat:
     return _STEPS[q[-1]](gamma(q[:-1]))
 
 
-def _delta_term(g: YRat, step: str) -> KElem:
-    if step == "D":
-        return g.subst(K_ZERO) * K_INV_ONE_MINUS_X
-    if step == "H":
-        return K_C * g.subst(K_XC)
-    return g.subst(K_X_OVER_ONE_MINUS_X) * K_INV_ONE_MINUS_X
+# each letter's step root r and the factor of gamma(prefix)(r) in delta
+_DELTA_TERMS = {"U": (K_X_OVER_ONE_MINUS_X, K_INV_ONE_MINUS_X),
+                "H": (K_XC, K_C), "D": (K_ZERO, K_INV_ONE_MINUS_X)}
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +98,8 @@ def delta(q: str) -> KElem:
     check_word(q)
     out = K_ZERO
     for i, step in enumerate(q):
-        out = out + _delta_term(gamma(q[:i]), step)
+        r, factor = _DELTA_TERMS[step]
+        out = out + factor * gamma(q[:i]).subst(r)
     return out
 
 

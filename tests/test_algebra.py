@@ -19,7 +19,6 @@ from motzkin.algebra import (
     R_XX,
     RatX,
     Y_ONE,
-    Y_VAR,
     YRat,
     catalan_coefficients,
     from_sqrt_form,
@@ -28,32 +27,27 @@ from motzkin.algebra import (
     minimal_polynomial,
     poly,
     poly_str,
-    px_gcd,
     px_mul,
     ratx,
     ratx_str,
     series,
     to_sqrt_form,
-    y_const,
     y_series,
     yp,
+    yp_div_root,
+    yp_mul,
 )
+
+
+F1 = yp([k_of(ratx([1, -1])), -K_X])                   # 1 - x - xy
+F2 = yp([K_ONE - K_X * K_X * K_C, -K_X])               # 1 - x^2*C - xy
+Y = YRat.make(yp([K_ZERO, K_ONE]))
 
 
 def test_poly_constructor_strips_trailing_zeros():
     assert poly([1, 2, 0, 0]) == (Fraction(1), Fraction(2))
     assert poly([0, 0]) == ()
     assert poly([]) == ()
-
-
-def test_px_gcd_is_monic():
-    a = poly([-1, 0, 1])          # x^2 - 1
-    b = poly([-1, 1])             # x - 1
-    assert px_gcd(a, b) == poly([-1, 1])
-    assert px_gcd((), b) == poly([-1, 1])
-    g = px_gcd(poly([2, 2]), poly([4, 4]))
-    assert g == poly([1, 1])
-    assert px_gcd(poly([1, 2]), poly([3, 6])) == poly([Fraction(1, 2), 1])
 
 
 def test_ratx_cancellation():
@@ -157,33 +151,54 @@ def test_y_subst():
     f = Y_ONE / YRat.make(yp([k_of(ratx([1, -1])), -K_X]))
     assert (f.subst(K_ZERO) - k_of(ratx(1, [1, -1]))).is_zero()
     # y at xC -> xC
-    assert (Y_VAR.subst(K_X * K_C) - K_X * K_C).is_zero()
+    assert (Y.subst(K_X * K_C) - K_X * K_C).is_zero()
     # constants ignore the point
-    g = y_const(K_C)
+    g = YRat.make(yp([K_C]))
     assert (g.subst(K_X) - K_C).is_zero()
 
 
 def test_y_subst_pole():
-    f = Y_ONE / YRat.make(yp([-(K_X * K_C), K_ONE]))   # 1/(y - xC)
+    # 1/(1 - x^2*C - xy) at its root y = 1/(xC)
+    f = Y_ONE / YRat.make(F2)
     with pytest.raises(PoleAtPointError):
-        f.subst(K_X * K_C)
+        f.subst(K_ONE / (K_X * K_C))
 
 
 def test_y_subst_commutes_with_arithmetic():
-    f = Y_ONE / YRat.make(yp([K_ONE, -K_X]))
-    g = Y_VAR * y_const(K_C) + Y_ONE
+    f = Y_ONE / (YRat.make(F1) * YRat.make(F2))
+    g = Y * YRat.make(yp([K_C])) + Y_ONE
     v = K_X * K_C
     assert ((f + g).subst(v) - (f.subst(v) + g.subst(v))).is_zero()
     assert ((f * g).subst(v) - (f.subst(v) * g.subst(v))).is_zero()
 
 
 def test_yrat_reduction_cancels_linear_factor():
-    # (y^2 - (xC)^2)/(y - xC) reduces to y + xC
+    # (1 - x - xy)(y + xC)/(1 - x - xy) reduces to y + xC
     xc = K_X * K_C
-    num = yp([-(xc * xc), K_ZERO, K_ONE])
-    den = yp([-xc, K_ONE])
-    f = YRat.make(num, den)
+    f = YRat.make(yp_mul(F1, yp([xc, K_ONE])), 1)
     assert f == YRat.make(yp([xc, K_ONE]))
+    assert (f.a, f.b) == (0, 0)
+    # F1*F2/(F1^2 * F2) reduces to 1/F1
+    assert YRat.make(yp_mul(F1, F2), 2, 1) == YRat((K_ONE,), 1, 0)
+
+
+def test_exact_root_division_checks_remainder():
+    # y^2 - (xC)^2 = (y - xC)(y + xC); 1 + y does not vanish at xC
+    xc = K_X * K_C
+    assert yp_div_root(yp([-(xc * xc), K_ZERO, K_ONE]), xc) == \
+        yp([xc, K_ONE])
+    with pytest.raises(ArithmeticError):
+        yp_div_root(yp([K_ONE, K_ONE]), xc)
+
+
+def test_division_only_by_kernel_factors():
+    with pytest.raises(ValueError):
+        Y_ONE / YRat.make(yp([K_ONE, -K_X]))            # 1/(1 - xy)
+    with pytest.raises(ValueError):
+        Y_ONE / YRat.make(yp([-(K_X * K_C), K_ONE]))    # 1/(y - xC)
+    # a unit times kernel factors is fine, and division undoes products
+    f = YRat.make(yp_mul(F1, F2)) * YRat.make(yp([K_C]))
+    assert Y / f * f == Y
 
 
 def test_catalan_coefficients():
@@ -269,13 +284,13 @@ def test_sqrt_form_round_trip():
 
 
 def test_y_series_expansion():
-    # 1/(1 - Cy) has coefficients C^h
-    f = Y_ONE / YRat.make(yp([K_ONE, -K_C]))
+    # 1/(1 - x^2*C - xy) = C/(1 - xCy) has coefficients C*(xC)^h
+    f = Y_ONE / YRat.make(F2)
     coefs = y_series(f, 4)
-    acc = K_ONE
+    acc = K_C
     for h in range(5):
         assert (coefs[h] - acc).is_zero()
-        acc = acc * K_C
+        acc = acc * K_X * K_C
 
 
 def test_display_strings():

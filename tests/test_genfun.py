@@ -1,5 +1,7 @@
 """Generating functions: gamma/delta recursions and the equation solver."""
 
+from itertools import product
+
 import pytest
 
 from motzkin.algebra import (
@@ -47,8 +49,9 @@ def test_delta_base_cases():
 
 def test_delta_series_match_oracle():
     # UUHDDH guards against coefficient swell in the algebra core
+    words = map("".join, product("UHD", repeat=5))
     for q in ("H", "HH", "UD", "UHD", "HUD", "UHHD", "UUDD", "DHU",
-              "UUHDDH"):
+              "UUHDDH", *words):
         want = [oracle_count(n, avoid=(q,)) for n in range(13)]
         assert series(delta(q), 12) == want, q
 
