@@ -13,7 +13,10 @@ Layers:
          with joint integer content 1 and a positive leading
          coefficient of den.  Arithmetic stays in Z[x]; gcds come from
          the primitive polynomial remainder sequence (Collins 1967).
-  KElem  a + b*C with RatX components.
+  KElem  (P + Q*C)/W with P, Q, W integer coefficient tuples, no
+         common factor of positive degree, joint integer content 1
+         and a positive leading coefficient of W.  Each operation
+         makes its products in Z[x] and cancels the triple once.
   YRat   polynomial in y over K divided by powers of the two kernel
          factors 1-x-xy and 1-x^2*C-xy.
 """
@@ -80,18 +83,19 @@ def px_mul(p: Poly, q: Poly) -> list:
     return out
 
 
-def _primitive(*ps) -> list[list[int]]:
-    """ps scaled by one positive rational to integer coefficients with
-    joint content 1; zero polynomials stay zero."""
+def _integral(*ps) -> list[list[int]]:
+    """ps scaled by one positive integer to integer coefficients."""
+    d = reduce(lcm, map(attrgetter("denominator"), chain(*ps)), 1)
+    return [[int(c * d) for c in p] for p in ps]
+
+
+def _primitive(*ps):
+    """Integer polynomials ps divided by their joint content; zero
+    polynomials stay zero."""
     # reduce, not gcd(*iterator): unpacking an iterator of unknown
     # length resizes the argument tuple and fills the tuple free lists
-    d = reduce(lcm, map(attrgetter("denominator"), chain(*ps)), 1)
-    ps = [[int(c * d) for c in p] if d > 1 else list(map(int, p))
-          for p in ps]
     g = reduce(gcd, chain(*ps), 0)
-    if g > 1:
-        ps = [[c // g for c in p] for p in ps]
-    return ps
+    return [[c // g for c in p] for p in ps] if g > 1 else ps
 
 
 def _prem(p: list, q: list) -> list:
@@ -140,9 +144,9 @@ def _zgcd(p: list, q: list) -> list:
     return [1] if q else _primitive(p)[0]
 
 
-def _cancel(*ps) -> list[list[int]]:
-    """Integer polynomials proportional to ps with no common factor of
-    positive degree and joint content 1.
+def _cancel(*ps):
+    """Integer polynomials proportional to the integer polynomials ps,
+    with no common factor of positive degree and joint content 1.
 
     Dividing by a primitive gcd keeps integer coefficients and the
     joint content (Gauss's lemma).
@@ -170,25 +174,10 @@ class RatX:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             return RatX(P_ZERO, P_ONE)
-        num, den = _cancel(num, den)
+        num, den = _cancel(*_integral(num, den))
         if den[-1] < 0:
             num, den = [-c for c in num], [-c for c in den]
         return RatX(tuple(num), tuple(den))
-
-    def __add__(self, o: "RatX") -> "RatX":
-        if not o.num:
-            return self
-        if not self.num:
-            return o
-        return RatX.make(px_add(px_mul(self.num, o.den),
-                                px_mul(o.num, self.den)),
-                         px_mul(self.den, o.den))
-
-    def __neg__(self) -> "RatX":
-        return RatX(px_neg(self.num), self.den)
-
-    def __sub__(self, o: "RatX") -> "RatX":
-        return self + (-o)
 
     def __mul__(self, o: "RatX") -> "RatX":
         if not o.num or not self.num:
@@ -200,12 +189,8 @@ class RatX:
             raise ZeroDivisionError("division by zero rational function")
         return RatX.make(px_mul(self.num, o.den), px_mul(self.den, o.num))
 
-    def is_zero(self) -> bool:
-        return not self.num
-
 
 R_ZERO = RatX.make(0)
-R_ONE = RatX.make(1)
 R_X = RatX.make(P_X)
 R_XX = R_X * R_X
 
@@ -215,48 +200,116 @@ def ratx(num, den=1) -> RatX:
     return RatX.make(num, den)
 
 
-@dataclass(frozen=True)
-class KElem:
-    """Element a + b*C of the quadratic extension K."""
+def _x2(p) -> list:
+    """p * x^2."""
+    return [0, 0, *p] if p else []
 
-    a: RatX
-    b: RatX
+
+def _canonical(p, q, w) -> tuple[tuple[int, ...], ...]:
+    """The canonical triple proportional to (p, q, w), w nonzero."""
+    if not p and not q:
+        return P_ZERO, P_ZERO, P_ONE
+    p, q, w = _cancel(p, q, w)
+    if w[-1] < 0:
+        p, q, w = [-c for c in p], [-c for c in q], [-c for c in w]
+    return tuple(p), tuple(q), tuple(w)
+
+
+@dataclass(frozen=True, init=False, slots=True)
+class KElem:
+    """Element (p + q*C)/w of the quadratic extension K.
+
+    p, q, w are integer coefficient tuples with no common factor of
+    positive degree, joint integer content 1 and a positive leading
+    coefficient of w; zero is ((), (), (1,)).
+    """
+
+    p: tuple[int, ...]
+    q: tuple[int, ...]
+    w: tuple[int, ...]
+
+    def __init__(self, a: RatX, b: RatX):
+        """a + b*C from two rational functions."""
+        _store(self, *_canonical(px_mul(a.num, b.den), px_mul(b.num, a.den),
+                                 px_mul(a.den, b.den)))
 
     @staticmethod
     def of(a, b=0) -> "KElem":
         wrap = lambda v: v if isinstance(v, RatX) else ratx(v)
         return KElem(wrap(a), wrap(b))
 
+    @property
+    def a(self) -> RatX:
+        """The rational part p/w."""
+        return RatX.make(self.p, self.w)
+
+    @property
+    def b(self) -> RatX:
+        """The coefficient q/w of C."""
+        return RatX.make(self.q, self.w)
+
     def __add__(self, o: "KElem") -> "KElem":
-        return KElem(self.a + o.a, self.b + o.b)
+        if o.is_zero():
+            return self
+        if self.is_zero():
+            return o
+        if self.w == o.w:
+            return _kelem(px_add(self.p, o.p), px_add(self.q, o.q), self.w)
+        return _kelem(px_add(px_mul(self.p, o.w), px_mul(o.p, self.w)),
+                      px_add(px_mul(self.q, o.w), px_mul(o.q, self.w)),
+                      px_mul(self.w, o.w))
 
     def __neg__(self) -> "KElem":
-        return KElem(-self.a, -self.b)
+        return _store(object.__new__(KElem), px_neg(self.p), px_neg(self.q),
+                      self.w)
 
     def __sub__(self, o: "KElem") -> "KElem":
         return self + (-o)
 
     def __mul__(self, o: "KElem") -> "KElem":
+        if self.is_zero() or o.is_zero():
+            return K_ZERO
+        if o == K_ONE:
+            return self
+        if self == K_ONE:
+            return o
+        pp = px_mul(self.p, o.p)
+        cross = px_add(px_mul(self.p, o.q), px_mul(self.q, o.p))
+        w = px_mul(self.w, o.w)
+        qq = px_mul(self.q, o.q)
+        if not qq:
+            return _kelem(pp, cross, w)
         # C^2 = (C - 1)/x^2
-        bb = self.b * o.b
-        cross = self.a * o.b + self.b * o.a
-        shift = bb / R_XX
-        return KElem(self.a * o.a - shift, cross + shift)
+        return _kelem(px_add(_x2(pp), px_neg(qq)), px_add(_x2(cross), qq),
+                      _x2(w))
 
     def inverse(self) -> "KElem":
-        # conjugate is (a + b/x^2) - b*C; norm lies in Q(x)
+        # (p + q*C)(x^2*p + q - x^2*q*C) = x^2*p^2 + p*q + q^2, in Q(x)
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in K")
-        norm = self.a * self.a + self.a * self.b / R_XX \
-            + self.b * self.b / R_XX
-        conj = KElem(self.a + self.b / R_XX, -self.b)
-        return KElem(conj.a / norm, conj.b / norm)
+        p, q, w = self.p, self.q, self.w
+        conj = px_add(_x2(p), q)
+        norm = px_add(px_mul(conj, p), px_mul(q, q))
+        return _kelem(px_mul(w, conj), px_neg(_x2(px_mul(w, q))), norm)
 
     def __truediv__(self, o: "KElem") -> "KElem":
         return self * o.inverse()
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+        return not self.p and not self.q
+
+
+def _store(u: KElem, p, q, w) -> KElem:
+    """u holding the canonical triple (p, q, w)."""
+    object.__setattr__(u, "p", p)
+    object.__setattr__(u, "q", q)
+    object.__setattr__(u, "w", w)
+    return u
+
+
+def _kelem(p, q, w) -> KElem:
+    """KElem equal to (p + q*C)/w, from integer coefficient sequences."""
+    return _store(object.__new__(KElem), *_canonical(p, q, w))
 
 
 K_ZERO = KElem.of(0)
@@ -423,27 +476,11 @@ def y_series(f: YRat, h_max: int) -> list[KElem]:
 
 # power series and closed forms
 
-def catalan_coefficients(n_max: int) -> list[Fraction]:
+def catalan_coefficients(n_max: int) -> list[int]:
     """Coefficients of the series root of x^2*C^2 - C + 1 = 0."""
-    out = [Fraction(0)] * (n_max + 1)
+    out = [0] * (n_max + 1)
     for k in range(0, n_max // 2 + 1):
-        out[2 * k] = Fraction(comb(2 * k, k), k + 1)
-    return out
-
-
-def _px_series_coeffs(p: Poly, n_max: int) -> list[Fraction]:
-    return [p[i] if i < len(p) else Fraction(0) for i in range(n_max + 1)]
-
-
-def _series_divide(num: list[Fraction], den: Poly,
-                   n_max: int) -> list[Fraction]:
-    d0 = den[0]
-    out = []
-    for n in range(n_max + 1):
-        acc = num[n]
-        for j in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[j] * out[n - j]
-        out.append(Fraction(acc, d0))
+        out[2 * k] = comb(2 * k, k) // (k + 1)
     return out
 
 
@@ -452,27 +489,32 @@ def series(u: KElem, n_max: int) -> list[Fraction]:
 
     Raises NotAPowerSeriesError when u has a pole at the origin.
     """
-    # u = (P + R*C)/W with polynomial P, R, W
-    p = px_mul(u.a.num, u.b.den)
-    r = px_mul(u.b.num, u.a.den)
-    w = px_mul(u.a.den, u.b.den)
-    shift = 0
-    while shift < len(w) and w[shift] == 0:
-        shift += 1
-    w0 = w[shift:]
+    w = u.w
+    shift = next(i for i, c in enumerate(w) if c)
     order = n_max + shift
     cat = catalan_coefficients(order)
-    pc = _px_series_coeffs(p, order)
-    rc = _px_series_coeffs(r, order)
-    numc = []
-    for n in range(order + 1):
-        acc = pc[n]
-        for j in range(min(n, len(r) - 1) + 1 if r else 0):
-            acc += rc[j] * cat[n - j]
-        numc.append(acc)
-    if any(c != 0 for c in numc[:shift]):
+    num = list(u.p[:order + 1])
+    num += [0] * (order + 1 - len(num))
+    for j, c in enumerate(u.q[:order + 1]):
+        for n in range(j, order + 1, 2):   # C has only even powers
+            num[n] += c * cat[n - j]
+    if any(num[:shift]):
         raise NotAPowerSeriesError("pole at the origin")
-    return _series_divide(numc[shift:], w0, n_max)
+    num, w = num[shift:], w[shift:]
+    # integer division by w[0] is exact for an integer series; the first
+    # remainder switches the rest of the loop to Fractions
+    d0 = w[0]
+    out = []
+    exact = True
+    for n in range(n_max + 1):
+        acc = num[n]
+        for j in range(1, min(n, len(w) - 1) + 1):
+            acc -= w[j] * out[n - j]
+        if exact:
+            c, rem = divmod(acc, d0)
+            exact = not rem
+        out.append(c if exact else Fraction(acc, d0))
+    return list(map(Fraction, out))
 
 
 def minimal_polynomial(u: KElem) -> tuple[Poly, Poly, Poly]:
@@ -481,18 +523,15 @@ def minimal_polynomial(u: KElem) -> tuple[Poly, Poly, Poly]:
     Degree-one elements get c2 = 0.  The leading nonzero c has positive
     leading coefficient and the joint integer content is 1.
     """
-    if u.b.is_zero():
-        c2, c1, c0 = P_ZERO, u.a.den, px_neg(u.a.num)
+    p, q, w = u.p, u.q, u.w
+    if not q:
+        c2, c1, c0 = P_ZERO, w, px_neg(p)
     else:
-        a = u.a
-        b = u.b
-        # eliminate C between t = a + b*C and x^2*C^2 - C + 1 = 0
-        c2r = RatX.make(px_mul(P_X, P_X))
-        c1r = -(c2r * a + c2r * a) - b
-        c0r = c2r * a * a + a * b + b * b
-        c2 = px_mul(c2r.num, px_mul(c1r.den, c0r.den))
-        c1 = px_mul(c1r.num, px_mul(c2r.den, c0r.den))
-        c0 = px_mul(c0r.num, px_mul(c2r.den, c1r.den))
+        # eliminate C between w*t = p + q*C and x^2*C^2 - C + 1 = 0
+        s = px_add(_x2(p), q)
+        c2 = _x2(px_mul(w, w))
+        c1 = px_neg(px_mul(px_add(_x2(p), s), w))
+        c0 = px_add(px_mul(s, p), px_mul(q, q))
     c2, c1, c0 = _cancel(c2, c1, c0)
     lead = c2 or c1
     sign = -1 if lead and lead[-1] < 0 else 1
@@ -507,23 +546,19 @@ def to_sqrt_form(u: KElem) -> tuple[Poly, Poly, Poly]:
     """
     if u.is_zero():
         return (P_ZERO, P_ZERO, P_ONE)
-    half = RatX.make(1, [0, 0, 2])
-    big_a = u.a + u.b * half
-    big_b = -(u.b * half)
-    n1, n2, den = _cancel(px_mul(big_a.num, big_b.den),
-                          px_mul(big_b.num, big_a.den),
-                          px_mul(big_a.den, big_b.den))
+    n1, n2, den = _cancel(px_add(_x2([2 * c for c in u.p]), u.q),
+                          px_neg(u.q), _x2([2 * c for c in u.w]))
     sign = 1 if next(c for c in den if c) > 0 else -1
     return tuple(tuple(sign * c for c in p) for p in (n1, n2, den))
 
 
 def from_sqrt_form(n1: Poly, n2: Poly, den: Poly) -> KElem:
     """KElem equal to (n1 + n2*sqrt(1-4x^2))/den."""
-    root = KElem(R_ONE, RatX.make(poly([-2]))
-                 * RatX.make(px_mul(P_X, P_X)))
-    d = KElem(RatX.make(den), R_ZERO)
-    return (KElem(RatX.make(n1), R_ZERO)
-            + KElem(RatX.make(n2), R_ZERO) * root) / d
+    if not any(den):
+        raise ZeroDivisionError("sqrt form with zero denominator")
+    # sqrt(1-4x^2) = 1 - 2x^2*C
+    n1, n2, den = _integral(n1, n2, den)
+    return _kelem(px_add(n1, n2), px_neg(_x2([2 * c for c in n2])), den)
 
 
 # display helpers

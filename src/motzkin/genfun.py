@@ -96,11 +96,10 @@ _DELTA_TERMS = {"U": (K_X_OVER_ONE_MINUS_X, K_INV_ONE_MINUS_X),
 def delta(q: str) -> KElem:
     """Length GF of the Motzkin paths avoiding q, as an element of K."""
     check_word(q)
-    out = K_ZERO
-    for i, step in enumerate(q):
-        r, factor = _DELTA_TERMS[step]
-        out = out + factor * gamma(q[:i]).subst(r)
-    return out
+    if q == "":
+        return K_ZERO
+    r, factor = _DELTA_TERMS[q[-1]]
+    return delta(q[:-1]) + factor * gamma(q[:-1]).subst(r)
 
 
 # specification equation systems

@@ -59,8 +59,8 @@ def test_ratx_cancellation():
         ratx(1) / ratx(0)
 
 
-def _euclid_gcd_degree(p, q):
-    """Degree of gcd(p, q) by Euclid's algorithm over Q (reference)."""
+def _euclid_gcd(p, q):
+    """A gcd of p and q by Euclid's algorithm over Q (reference)."""
     p, q = list(poly(p)), list(poly(q))
     while q:
         while len(p) >= len(q):
@@ -70,7 +70,11 @@ def _euclid_gcd_degree(p, q):
             while p and p[-1] == 0:
                 p.pop()
         p, q = q, p
-    return len(p) - 1
+    return p
+
+
+def _euclid_gcd_degree(p, q):
+    return len(_euclid_gcd(p, q)) - 1
 
 
 _coeffs = st.lists(st.one_of(
@@ -90,6 +94,25 @@ def test_ratx_make_is_canonical(num, den, common, scale):
     assert px_mul(poly(num), r.den) == px_mul(poly(den), r.num)
     assert RatX.make([c * scale for c in num], [c * scale for c in den]) == r
     assert RatX.make(px_mul(poly(num), common), px_mul(poly(den), common)) == r
+
+
+_int_coeffs = st.lists(st.integers(-6, 6), max_size=5)
+
+
+@given(_int_coeffs, _int_coeffs, _int_coeffs.filter(any),
+       _int_coeffs.filter(any), st.integers(-5, 5).filter(bool))
+def test_kelem_triple_is_canonical(p, q, w, common, scale):
+    def k(p, q, w):
+        return (k_of(ratx(p)) + k_of(ratx(q)) * K_C) / k_of(ratx(w))
+    u = k(p, q, w)
+    assert all(type(c) is int for c in u.p + u.q + u.w)
+    assert _euclid_gcd_degree(_euclid_gcd(u.p, u.q), u.w) == 0
+    assert gcd(*u.p, *u.q, *u.w) == 1
+    assert u.w[-1] > 0
+    assert (u.a, u.b) == (ratx(p, w), ratx(q, w))
+    scaled = [[scale * c for c in px_mul(v, common)] for v in (p, q, w)]
+    assert k(*scaled) == u
+    assert KElem(u.a, u.b) == u
 
 
 def test_defining_relation():
@@ -222,6 +245,10 @@ def test_series_of_rational():
     got = series(k_of(ratx(1, [2, -1])), 6)
     assert got == [Fraction(1, 2 ** (n + 1)) for n in range(7)]
     assert not any(isinstance(c, float) for c in got)
+    # (2 + x^3)/2: integer division by 2 is exact until x^3
+    got = series(k_of(ratx([2, 0, 0, 1], 2)), 5)
+    assert got == [1, 0, 0, Fraction(1, 2), 0, 0]
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_series_pole_detection():
@@ -281,6 +308,8 @@ def test_sqrt_form_round_trip():
     assert to_sqrt_form(K_ZERO) == ((), (), P_ONE)
     n1, n2, d = to_sqrt_form(K_ONE)
     assert n2 == ()
+    with pytest.raises(ZeroDivisionError):
+        from_sqrt_form(poly([1]), poly([1]), ())
 
 
 def test_y_series_expansion():

@@ -1,5 +1,6 @@
 """Generating functions: gamma/delta recursions and the equation solver."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -13,10 +14,13 @@ from motzkin.algebra import (
     YRat,
     from_sqrt_form,
     k_of,
+    k_str,
     minimal_polynomial,
+    minpoly_str,
     poly,
     ratx,
     series,
+    sqrt_form_str,
     y_series,
     yp,
 )
@@ -58,6 +62,20 @@ def test_delta_series_match_oracle():
 
 def test_delta_h_series():
     assert series(delta("H"), 12) == [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0, 132]
+
+
+def test_delta_printed_forms_are_pinned():
+    # every printed closed form and series of the 120 words of length 1-4
+    lines = []
+    for k in range(1, 5):
+        for q in map("".join, product("UHD", repeat=k)):
+            u = delta(q)
+            lines.append("\t".join([q, k_str(u), sqrt_form_str(u),
+                                    minpoly_str(u),
+                                    ",".join(map(str, series(u, 12)))]))
+    assert len(lines) == 120
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "98d9c05e7b4e1294311a14fcba03c2186ed937a49bb5a5f593d00a700a17a08a"
 
 
 def test_gamma_uh_identity():
